@@ -11,7 +11,35 @@ so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import ctypes
+import sys
+
 import numpy as np
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed heap memory in the process for the next forward pass.
+
+    A forward pass frees its whole tape at once, about 110 MB for a
+    36-residue protein with 224 surface points. When that block ends the
+    heap, glibc returns it to the OS and the next pass page-faults all of
+    it back in: scoring 39 variants of that protein took 366k page faults
+    this way, against 4 with the memory kept. This turns heap trimming off
+    and fixes the mmap threshold at 32 MiB, the ceiling of glibc's own
+    dynamic threshold, since setting either parameter stops glibc from
+    adjusting the other.
+    """
+    if sys.platform.startswith("linux"):
+        libc = ctypes.CDLL(None)
+        libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        libc.mallopt(_M_TRIM_THRESHOLD, -1)
+
+
+_keep_freed_heap()
 
 
 def _scatter_rows(idx: np.ndarray, grad: np.ndarray, n: int) -> np.ndarray:

@@ -34,7 +34,6 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None,
                         help="cap BLAS thread count")
-    parser.add_argument("--deterministic", action="store_true", default=None)
 
 
 def _add_surface_opts(parser):
@@ -210,7 +209,7 @@ def cmd_pretrain(args) -> int:
         _SURFACE_DEFAULTS, seed=0, mode="s3f", embedder="toy", epochs=100,
         batch_size=None, lr=1e-4, optimizer="adam", grad_clip=1.0,
         checkpoint_every=0, scalar_dim=100, vector_dim=16, layers=5,
-        embed_dim=64, no_normalize=False, deterministic=True)
+        embed_dim=64, no_normalize=False)
     resolved = _resolve(args, defaults)
     model_cfg = ModelConfig(
         mode=resolved["mode"], embedder=resolved["embedder"],
@@ -222,8 +221,7 @@ def cmd_pretrain(args) -> int:
         epochs=resolved["epochs"], batch_size=resolved["batch_size"],
         learning_rate=resolved["lr"], optimizer=resolved["optimizer"],
         grad_clip=resolved["grad_clip"], seed=resolved["seed"],
-        mode=resolved["mode"], checkpoint_every=resolved["checkpoint_every"],
-        deterministic=resolved["deterministic"])
+        mode=resolved["mode"], checkpoint_every=resolved["checkpoint_every"])
     surface_cfg = _surface_config(resolved)
     _, history = pretrain(
         args.corpus, model_cfg, train_cfg, surface_cfg, out_dir=args.out_dir,

@@ -175,16 +175,6 @@ def run_message_passing(blocks, graph: SpatialGraph, state: GvpState,
     return GvpState(scalar=scalar, vector=vector)
 
 
-def structure_forward(blocks, graph: SpatialGraph, state: GvpState,
-                      normalize: bool = True) -> GvpState:
-    return run_message_passing(blocks, graph, state, normalize)
-
-
-def surface_forward(blocks, graph: SpatialGraph, state: GvpState,
-                    normalize: bool = True) -> GvpState:
-    return run_message_passing(blocks, graph, state, normalize)
-
-
 def _mlp2(parts, w1, b1, w2, b2) -> Tensor:
     return ad.linear_split([ad.relu(ad.linear_split(parts, w1, b1))], w2, b2)
 

@@ -104,15 +104,11 @@ def score_assay(model: FitnessModel, protein: Protein, assay: AssayTable, *,
             continue
         positions = np.array(mset.positions)
         low = protein.plddt[positions] < plddt_threshold
-        if not low.any():
-            score = _model_score(model, protein, mset, embeddings_provider,
-                                 base_cloud, needs_surface, excise_m, mode, graph)
-            tags = ("model",) * len(mset)
-        elif low.all() or not per_site_gating:
+        if low.all() or (low.any() and not per_site_gating):
             score = _baseline_lookup(baseline, variant.mutant, variant.mutant)
             tags = ("baseline",) * len(mset)
         else:
-            score, tags = _mixed_score(model, protein, mset, low,
+            score, tags = _model_score(model, protein, mset, low,
                                        embeddings_provider, base_cloud,
                                        needs_surface, excise_m, mode, graph,
                                        baseline, offset)
@@ -120,30 +116,15 @@ def score_assay(model: FitnessModel, protein: Protein, assay: AssayTable, *,
     return results
 
 
-def _excised(base_cloud, protein, positions, excise_m, needs_surface):
-    if not needs_surface:
-        return None
-    reduced, _ = excise_near_residue(base_cloud, protein.ca_coords[positions],
-                                     excise_m)
-    return reduced
-
-
-def _model_score(model, protein, mset, embeddings_provider, base_cloud,
-                 needs_surface, excise_m, mode, graph) -> float:
-    cloud = _excised(base_cloud, protein, np.array(mset.positions), excise_m,
-                     needs_surface)
-    embeddings = None if embeddings_provider is None else embeddings_provider(mset)
-    return score_variant(model, protein, mset, embeddings=embeddings,
-                         cloud=cloud, mode=mode, structure_graph=graph)
-
-
-def _mixed_score(model, protein, mset, low, embeddings_provider, base_cloud,
+def _model_score(model, protein, mset, low, embeddings_provider, base_cloud,
                  needs_surface, excise_m, mode, graph, baseline, offset):
-    """Per-site gating: model log-odds terms for confident sites extracted
-    from the joint forward pass (all sites masked, exactly as in inference),
-    plus per-site baseline values for the rest."""
-    positions = np.array(mset.positions)
-    cloud = _excised(base_cloud, protein, positions, excise_m, needs_surface)
+    """One joint forward pass with every site masked (and the cloud excised
+    around them), summed left to right over sites: model log-odds terms for
+    confident sites, per-site baseline values where ``low`` is set."""
+    cloud = None
+    if needs_surface:
+        cloud, _ = excise_near_residue(base_cloud, protein.ca_coords[mset.positions],
+                                       excise_m)
     embeddings = None if embeddings_provider is None else embeddings_provider(mset)
     log_probs = model.forward_logits(
         protein, mset.positions, mode=mode, embeddings=embeddings,
@@ -174,15 +155,13 @@ def ensemble_zscores(scores_a, scores_b) -> np.ndarray:
         raise DataError("score lists must be equal-length vectors")
     if len(a) < 2:
         raise DataError("need at least 2 variants to ensemble")
-    out = np.empty_like(a)
     total = np.zeros_like(a)
     for x in (a, b):
         std = x.std()
         if std < 1e-300:
             raise DataError("zero standard deviation in a score list")
         total = total + (x - x.mean()) / std
-    out[:] = total
-    return out
+    return total
 
 
 # ---------------------------------------------------------------------------

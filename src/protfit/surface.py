@@ -299,12 +299,10 @@ def generate_surface(protein: Protein, cfg: SurfaceConfig = None,
 def _gaussian_curvature(pts, normals, k: int) -> np.ndarray:
     """Quadric-fit curvature: fit z = a x^2 + b xy + c y^2 over the k
     nearest neighbors in each point's tangent frame, K = 4ac - b^2."""
-    n = len(pts)
     idx, _ = cross_knn(pts, pts, k + 1)
-    neigh = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        row = idx[i][idx[i] != i]
-        neigh[i] = row[:k]
+    # the first k entries of each row that are not the point itself
+    others = np.argsort(idx == np.arange(len(pts))[:, None], axis=1, kind="stable")
+    neigh = np.take_along_axis(idx, others[:, :k], axis=1)
     rel = pts[neigh] - pts[:, None, :]            # (n, k, 3)
     z_axis = normals
     # any tangent direction works: K is invariant to in-plane rotation
@@ -327,16 +325,11 @@ def _heat_kernel_signature(pts, cfg: SurfaceConfig) -> np.ndarray:
     n = len(pts)
     k = min(cfg.knn_k, n - 1)
     idx, dist = cross_knn(pts, pts, k + 1)
-    rows, cols, vals = [], [], []
     sigma = max(dist[:, 1:].mean(), 1e-9)
-    for i in range(n):
-        keep = idx[i] != i
-        rows.append(np.full(keep.sum(), i))
-        cols.append(idx[i][keep])
-        vals.append(np.exp(-(dist[i][keep] ** 2) / sigma ** 2))
-    w = scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
+    keep = idx != np.arange(n)[:, None]
+    rows = np.nonzero(keep)[0]
+    vals = np.exp(-(dist[keep] ** 2) / sigma ** 2)
+    w = scipy.sparse.csr_matrix((vals, (rows, idx[keep])), shape=(n, n))
     w = (w + w.T) * 0.5
     deg = np.asarray(w.sum(axis=1)).ravel()
     if deg.min() <= 0:

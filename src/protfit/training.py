@@ -59,7 +59,6 @@ class TrainConfig:
     grad_clip: float = 1.0
     optimizer: str = "adam"       # adam | sgd
     checkpoint_every: int = 0     # epochs between checkpoints; 0 = final only
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.epochs < 0 or self.learning_rate <= 0:

@@ -150,6 +150,24 @@ def test_cross_knn_matches_brute_force(rng):
         assert (np.diff(dist[q]) >= 0).all()
 
 
+def test_lattice_exact_ties_match_brute_force():
+    # integer lattice with repeated points, well above 64 points: every
+    # distance is the root of an integer, so ties are exact and only the
+    # smaller-index rule decides them; cutoff 2 falls on lattice distances
+    rng = np.random.default_rng(11)
+    base = rng.integers(0, 6, (180, 3)).astype(float)
+    coords = np.concatenate([base, base[rng.integers(0, 180, 40)]])
+    queries = np.concatenate([rng.integers(-1, 7, (40, 3)).astype(float),
+                              coords[:20]])
+    idx, _ = cross_knn(queries, coords, 12)
+    assert idx.tolist() == brute_knn_rows(queries, coords, 12)
+    g = build_knn_graph(coords, 8)
+    expected = brute_knn_rows(coords, coords, 8, skip_self=True)
+    for i in range(len(coords)):
+        assert sorted(g.src[g.dst == i].tolist()) == sorted(expected[i])
+    assert edge_set(build_radius_graph(coords, 2.0)) == brute_radius_edges(coords, 2.0)
+
+
 def test_cross_knn_rejects_too_few_refs():
     with pytest.raises(DataError):
         cross_knn(np.zeros((1, 3)), np.zeros((2, 3)), 3)
