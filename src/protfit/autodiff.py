@@ -2,7 +2,8 @@
 
 Everything runs in float64. A Tensor records its parents and a backward
 closure; ``backward()`` topologically sorts the tape and accumulates
-gradients into ``.grad``. Only the operations the network needs are
+gradients into ``.grad``. Inside ``no_grad()`` operations record neither,
+so inference builds no tape. Only the operations the network needs are
 implemented: elementwise arithmetic with broadcasting, 2-D matmul,
 vector-channel mixing, row gather/scatter, sorted-segment sums, reductions,
 and the usual nonlinearities. All reductions use fixed summation orders,
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import ctypes
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -24,14 +26,19 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_heap() -> None:
     """Keep freed heap memory in the process for the next forward pass.
 
-    A forward pass frees its whole tape at once, about 110 MB for a
-    36-residue protein with 224 surface points. When that block ends the
-    heap, glibc returns it to the OS and the next pass page-faults all of
-    it back in: scoring 39 variants of that protein took 366k page faults
-    this way, against 4 with the memory kept. This turns heap trimming off
-    and fixes the mmap threshold at 32 MiB, the ceiling of glibc's own
-    dynamic threshold, since setting either parameter stops glibc from
-    adjusting the other.
+    Scoring builds no tape, but each forward pass still allocates and
+    frees edge-level temporaries of a few MB at desk scale and tens of MB
+    at 150 residues, and a pretrain step frees its whole tape (about
+    110 MB for a 36-residue protein with 224 surface points) when it
+    ends. When freed memory ends the heap, glibc returns it to the OS,
+    and the next pass page-faults it back in. On a 2-vCPU x86_64 VM with
+    one BLAS thread, leaving glibc's defaults cost about 9.0k minor page
+    faults per perfbench score-sat op (39 variants on two sites of that
+    protein) against 0 with this setting, 21.7k per score-multi-default
+    op (two 150-residue passes) against 3, and 48 per pretrain-desk op
+    against 7. This turns heap trimming off and fixes the mmap threshold
+    at 32 MiB, the ceiling of glibc's own dynamic threshold, since
+    setting either parameter stops glibc from adjusting the other.
     """
     if sys.platform.startswith("linux"):
         libc = ctypes.CDLL(None)
@@ -158,9 +165,25 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no tape inside the block: results record no parents and no
+    backward closure, so intermediates are freed as soon as they are
+    unreferenced. The previous mode comes back on exit, also on error."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

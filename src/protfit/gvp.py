@@ -179,22 +179,23 @@ def _mlp2(parts, w1, b1, w2, b2) -> Tensor:
     return ad.linear_split([ad.relu(ad.linear_split(parts, w1, b1))], w2, b2)
 
 
-def surface_init(init_params: dict, residue_scalar: Tensor, cloud_features,
+def surface_init(params: dict, residue_scalar: Tensor, cloud_features,
                  nn_idx: np.ndarray, nn_dist: np.ndarray,
                  vector_dim: int) -> GvpState:
     """Surface-node initialization: each point averages an MLP of its
     nearest residues' scalar features (with distances), concatenates its
-    geometric features, and runs a second MLP. Vectors start at zero."""
+    geometric features, and runs a second MLP. Vectors start at zero.
+    ``params`` is a model's parameter dict (``surface_init.*`` entries)."""
     n_s, k = nn_idx.shape
     rows = ad.gather(residue_scalar, nn_idx.reshape(-1))
     dist = Tensor(nn_dist.reshape(-1, 1))
     inner = _mlp2([rows, dist],
-                  init_params["inner_w1"], init_params["inner_b1"],
-                  init_params["inner_w2"], init_params["inner_b2"])
+                  params["surface_init.inner1.w"], params["surface_init.inner1.b"],
+                  params["surface_init.inner2.w"], params["surface_init.inner2.b"])
     pooled = ad.tmean(ad.reshape(inner, (n_s, k, inner.shape[1])), axis=1)
     outer = _mlp2([Tensor(cloud_features), pooled],
-                  init_params["outer_w1"], init_params["outer_b1"],
-                  init_params["outer_w2"], init_params["outer_b2"])
+                  params["surface_init.outer1.w"], params["surface_init.outer1.b"],
+                  params["surface_init.outer2.w"], params["surface_init.outer2.b"])
     zeros = Tensor(np.zeros((n_s, vector_dim, 3)))
     return GvpState(scalar=outer, vector=zeros)
 
@@ -302,18 +303,6 @@ class FitnessModel:
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
-
-    def _init_params(self, prefix: str = "surface_init") -> dict:
-        return {
-            "inner_w1": self.params[f"{prefix}.inner1.w"],
-            "inner_b1": self.params[f"{prefix}.inner1.b"],
-            "inner_w2": self.params[f"{prefix}.inner2.w"],
-            "inner_b2": self.params[f"{prefix}.inner2.b"],
-            "outer_w1": self.params[f"{prefix}.outer1.w"],
-            "outer_b1": self.params[f"{prefix}.outer1.b"],
-            "outer_w2": self.params[f"{prefix}.outer2.w"],
-            "outer_b2": self.params[f"{prefix}.outer2.b"],
-        }
 
     # ---- embeddings ----
 
@@ -437,7 +426,7 @@ class FitnessModel:
                     f"surface init needs >= {cfg.init_neighbors} residues")
             nn_idx, nn_dist = cross_knn(cloud.points, protein.ca_coords,
                                         cfg.init_neighbors)
-            h_surf0 = surface_init(self._init_params(), h0_scalar,
+            h_surf0 = surface_init(self.params, h0_scalar,
                                    cloud.features, nn_idx, nn_dist,
                                    cfg.vector_dim)
             sgraph = build_knn_graph(cloud.points, cfg.surface_knn, rbf=cfg.rbf)

@@ -3,7 +3,15 @@
 A variant's score is the joint-masked log-odds sum over its sites:
 one forward pass with every mutated position masked (and, in surface
 mode, the cloud excised around those positions) yields per-site rows,
-and the score adds log p(mutant) - log p(wild type) across sites.
+and the score adds log p(mutant) - log p(wild type) across sites, left
+to right. That pass depends only on the masked position set (and, for
+file-mode models, on the embedding rows the provider returns), so
+``score_assay`` runs it once per distinct set and reuses its rows for
+every variant on the set: the 19 substitutions at one site of a
+saturation assay share one pass. Scoring never calls ``backward``, so
+passes run under ``autodiff.no_grad`` and build no tape. Non-finite
+log-probabilities raise NumericsError when the pass returns them.
+
 Sites on low-confidence residues (pLDDT below the threshold) fall back
 to an ingested baseline scorer; by default a variant touching any
 low-confidence site falls back as a whole, since mixing per-site terms
@@ -19,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .autodiff import no_grad
+from .errors import DataError, NumericsError
 from .geometry import build_radius_graph
 from .gvp import FitnessModel
 from .io import (AssayTable, MutationSet, Protein, ResidueEmbeddings,
@@ -54,14 +63,23 @@ def score_variant(model: FitnessModel, protein: Protein, mset: MutationSet,
     mutated sites."""
     if not mset.sites:
         return 0.0
-    positions = mset.positions
-    log_probs = model.forward_logits(
-        protein, positions, mode=mode, embeddings=embeddings, cloud=cloud,
-        structure_graph=structure_graph).data
+    log_probs = _log_probs(model, protein, mset.positions, mode=mode,
+                           embeddings=embeddings, cloud=cloud,
+                           structure_graph=structure_graph)
     score = 0.0
     for row, (_, wt, mt) in zip(log_probs, mset.sites):
         score += float(row[mt]) - float(row[wt])
     return score
+
+
+def _log_probs(model, protein, positions, **kwargs) -> np.ndarray:
+    """Tape-free forward pass; its rows must be finite."""
+    with no_grad():
+        log_probs = model.forward_logits(protein, positions, **kwargs).data
+    if not np.isfinite(log_probs).all():
+        raise NumericsError(
+            f"non-finite log-probabilities with positions {list(positions)} masked")
+    return log_probs
 
 
 def _baseline_lookup(baseline: dict, key: str, what: str) -> float:
@@ -96,6 +114,7 @@ def score_assay(model: FitnessModel, protein: Protein, assay: AssayTable, *,
     if mode in ("s2f", "s3f"):
         graph = build_radius_graph(protein.ca_coords, model.config.radius_cutoff,
                                    rbf=model.config.rbf)
+    passes = {}   # masked position set (plus file-mode rows) -> log-prob rows
     results = []
     for variant in assay.variants:
         mset = parse_mutation(variant.mutant, protein, offset)
@@ -108,27 +127,43 @@ def score_assay(model: FitnessModel, protein: Protein, assay: AssayTable, *,
             score = _baseline_lookup(baseline, variant.mutant, variant.mutant)
             tags = ("baseline",) * len(mset)
         else:
-            score, tags = _model_score(model, protein, mset, low,
-                                       embeddings_provider, base_cloud,
-                                       needs_surface, excise_m, mode, graph,
-                                       baseline, offset)
+            log_probs = _shared_pass(passes, model, protein, mset,
+                                     embeddings_provider, base_cloud,
+                                     needs_surface, excise_m, mode, graph)
+            score, tags = _site_sum(log_probs, protein, mset, low, baseline,
+                                    offset)
         results.append(VariantScore(variant.mutant, score, tags))
     return results
 
 
-def _model_score(model, protein, mset, low, embeddings_provider, base_cloud,
-                 needs_surface, excise_m, mode, graph, baseline, offset):
-    """One joint forward pass with every site masked (and the cloud excised
-    around them), summed left to right over sites: model log-odds terms for
-    confident sites, per-site baseline values where ``low`` is set."""
-    cloud = None
-    if needs_surface:
-        cloud, _ = excise_near_residue(base_cloud, protein.ca_coords[mset.positions],
-                                       excise_m)
-    embeddings = None if embeddings_provider is None else embeddings_provider(mset)
-    log_probs = model.forward_logits(
-        protein, mset.positions, mode=mode, embeddings=embeddings,
-        cloud=cloud, structure_graph=graph).data
+def _shared_pass(passes, model, protein, mset, embeddings_provider, base_cloud,
+                 needs_surface, excise_m, mode, graph):
+    """Log-prob rows of the joint forward pass with every site of ``mset``
+    masked (and the cloud excised around them), run on the first variant
+    with its key and looked up in ``passes`` for the rest. File-mode rows
+    join the key, so only identical provider rows share a pass."""
+    key = tuple(mset.positions)
+    embeddings = None
+    if embeddings_provider is not None:
+        embeddings = embeddings_provider(mset)
+        key = (key, embeddings.context_tag, embeddings.rows.shape,
+               embeddings.rows.tobytes())
+    log_probs = passes.get(key)
+    if log_probs is None:
+        cloud = None
+        if needs_surface:
+            cloud, _ = excise_near_residue(
+                base_cloud, protein.ca_coords[mset.positions], excise_m)
+        log_probs = _log_probs(model, protein, mset.positions, mode=mode,
+                               embeddings=embeddings, cloud=cloud,
+                               structure_graph=graph)
+        passes[key] = log_probs
+    return log_probs
+
+
+def _site_sum(log_probs, protein, mset, low, baseline, offset):
+    """Left-to-right sum over sites: model log-odds terms for confident
+    sites, per-site baseline values where ``low`` is set."""
     score = 0.0
     tags = []
     for row, (pos, wt, mt), is_low in zip(log_probs, mset.sites, low):

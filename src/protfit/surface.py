@@ -405,11 +405,9 @@ def write_cloud_tsv(cloud: SurfacePointCloud, path, header_lines=()) -> None:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write("# columns=" + ",".join(cols) + "\n")
-        for i in range(cloud.n_points):
-            row = list(cloud.points[i]) + list(cloud.normals[i])
-            if n_feat:
-                row += list(cloud.features[i])
-            fh.write("\t".join(repr(float(v)) for v in row) + "\n")
+        blocks = [cloud.points, cloud.normals] + ([cloud.features] if n_feat else [])
+        table = np.column_stack(blocks).astype(np.float64).tolist()
+        fh.write("".join("\t".join(map(repr, row)) + "\n" for row in table))
 
 
 def read_cloud_tsv(path) -> SurfacePointCloud:

@@ -4,8 +4,11 @@ independent central-difference oracle."""
 import numpy as np
 import pytest
 
+from conftest import make_coil_protein
 from protfit import autodiff as ad
 from protfit.autodiff import Parameter, Tensor
+from protfit.errors import DataError
+from protfit.gvp import FitnessModel, ModelConfig
 
 
 def numeric_grad(fn, param, h=1e-6):
@@ -173,3 +176,55 @@ def test_backward_scale_linearity(rng):
     loss2 = ad.tsum(ad.sigmoid(x) * x)
     loss2.backward(grad=np.array(2.0))
     assert np.array_equal(x.grad, 2.0 * g1)
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+# ---------------------------------------------------------------------------
+
+def test_no_grad_outputs_record_no_tape(rng):
+    a = Parameter(rng.standard_normal((4, 3)))
+    b = Parameter(rng.standard_normal((3, 5)))
+    with ad.no_grad():
+        out = ad.log_softmax(ad.relu(a @ b) + 1.0)
+        total = ad.tsum(out)
+    for t in (out, total):
+        assert t.requires_grad is False
+        assert t._parents == ()
+        assert t._backward is None
+    outside = ad.tsum(a @ b)
+    assert outside.requires_grad and outside._parents
+
+
+def test_no_grad_restores_mode_when_body_raises():
+    protein = make_coil_protein(6, seed=1)
+    model = FitnessModel(ModelConfig(mode="s2f", scalar_dim=8, vector_dim=2,
+                                     structure_layers=1, embed_dim=8,
+                                     rbf_kernels=4))
+    with pytest.raises(DataError, match="out of range"):
+        with ad.no_grad():
+            model.forward_logits(protein, [protein.n_residues])
+    rows = model.forward_logits(protein, [2])
+    assert rows.requires_grad and rows._parents
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert not model.forward_logits(protein, [2]).requires_grad
+
+
+def test_backward_after_no_grad_matches_plain_run(rng):
+    x0 = rng.standard_normal((5, 4))
+    w0 = rng.standard_normal((4, 3))
+
+    def grads(enter_no_grad):
+        x, w = Parameter(x0.copy()), Parameter(w0.copy())
+        if enter_no_grad:
+            with ad.no_grad():
+                ad.tsum(ad.sigmoid(x @ w))
+        loss = ad.tsum(ad.log_softmax(ad.sigmoid(x @ w)) * 0.5)
+        loss.backward()
+        return x.grad, w.grad
+
+    plain, after = grads(False), grads(True)
+    for g_plain, g_after in zip(plain, after):
+        assert np.array_equal(g_plain, g_after)

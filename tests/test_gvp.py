@@ -218,7 +218,7 @@ def test_surface_init_zero_inner_reduces_to_outer(rng):
     h0 = Tensor(np.zeros((4, d)))
     nn_idx = rng.integers(0, 4, (n_s, 3))
     nn_dist = rng.uniform(0, 5, (n_s, 3))
-    out = surface_init(model._init_params(), h0, feats, nn_idx, nn_dist,
+    out = surface_init(model.params, h0, feats, nn_idx, nn_dist,
                        model.config.vector_dim)
     w1 = model.params["surface_init.outer1.w"].data
     b1 = model.params["surface_init.outer1.b"].data
@@ -240,8 +240,8 @@ def test_surface_init_duplicate_residue_deterministic(rng):
     assert np.array_equal(idx1, idx2)
     h0 = Tensor(rng.standard_normal((4, model.config.scalar_dim)))
     feats = rng.standard_normal((6, 5))
-    a = surface_init(model._init_params(), h0, feats, idx1, d1, 3)
-    b = surface_init(model._init_params(), h0, feats, idx2, d2, 3)
+    a = surface_init(model.params, h0, feats, idx1, d1, 3)
+    b = surface_init(model.params, h0, feats, idx2, d2, 3)
     assert np.array_equal(a.scalar.data, b.scalar.data)
 
 
@@ -253,7 +253,7 @@ def test_surface_init_hand_evaluation(rng):
     feats = rng.standard_normal((5, 5))
     nn_idx = np.array([[0, 1, 2], [1, 2, 3], [3, 0, 1], [2, 1, 0], [0, 3, 2]])
     nn_dist = rng.uniform(0, 8, (5, 3))
-    out = surface_init(model._init_params(), Tensor(h0), feats, nn_idx,
+    out = surface_init(model.params, Tensor(h0), feats, nn_idx,
                        nn_dist, model.config.vector_dim)
     p = {k: model.params[k].data for k in model.params}
     expected = np.zeros((5, d))

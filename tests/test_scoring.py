@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import make_coil_protein
+from protfit import scoring
 from protfit.autodiff import Tensor
-from protfit.errors import DataError
+from protfit.errors import DataError, NumericsError
 from protfit.gvp import FitnessModel, ModelConfig
-from protfit.io import AssayTable, AssayVariant, MutationSet, parse_mutation
+from protfit.io import (RESIDUE_TYPES, AssayTable, AssayVariant, MutationSet,
+                        ResidueEmbeddings, format_mutation, mask_context_tag,
+                        parse_mutation)
 from protfit.scoring import (VariantScore, ensemble_zscores, read_scores_csv,
                              score_assay, score_variant, write_scores_csv)
-from protfit.surface import SurfaceConfig, generate_surface, surface_features
+from protfit.surface import (SurfaceConfig, excise_near_residue,
+                             generate_surface, surface_features)
 
 MODEL_KW = dict(scalar_dim=12, vector_dim=3, structure_layers=2,
                 surface_layers=2, init_hidden=8, embed_dim=12, rbf_kernels=4)
@@ -152,6 +156,138 @@ def test_mixed_variant_default_whole_baseline():
     model_term = rows[1, (wt8 + 1) % 20] - rows[1, wt8]
     assert out2[0].score == pytest.approx(-1.0 + model_term, abs=1e-12)
     assert out2[0].provenance == ("baseline", "model")
+
+
+# ---------------------------------------------------------------------------
+# one forward pass per distinct position set
+# ---------------------------------------------------------------------------
+
+def count_forwards(model):
+    """Wrap the model's forward_logits; returns the list of masked sets."""
+    calls = []
+    forward = model.forward_logits
+
+    def counted(protein, masked, **kw):
+        calls.append(tuple(masked))
+        return forward(protein, masked, **kw)
+
+    model.forward_logits = counted
+    return calls
+
+
+def saturation_assay(protein, sites, extra=()):
+    mutants = ["WT"]
+    for pos in sites:
+        wt = RESIDUE_TYPES[protein.sequence[pos]]
+        mutants += [f"{wt}{pos + 1}{aa}" for aa in RESIDUE_TYPES if aa != wt]
+    mutants += list(extra)
+    return AssayTable(protein_id="sat", variants=tuple(
+        AssayVariant(m, float(i)) for i, m in enumerate(mutants)))
+
+
+def mutant(protein, positions, shift=1):
+    """Each site substituted by the residue type ``shift`` codes above its own."""
+    sites = tuple((p, int(protein.sequence[p]), (int(protein.sequence[p]) + shift) % 20)
+                  for p in positions)
+    return format_mutation(MutationSet(sites))
+
+
+@pytest.fixture(scope="module")
+def sat_setup():
+    protein = make_coil_protein(20, seed=11)
+    model = FitnessModel(ModelConfig(mode="s3f", seed=12, **MODEL_KW))
+    cloud = make_cloud(protein)
+    assay = saturation_assay(protein, (3, 11), extra=(
+        mutant(protein, (3, 11)), mutant(protein, (3, 11), shift=2)))
+    return protein, model, cloud, assay
+
+
+def test_saturation_assay_one_pass_per_position_set(sat_setup, monkeypatch):
+    protein, model, cloud, assay = sat_setup
+    model = FitnessModel(model.config)
+    forwards = count_forwards(model)
+    excised = []
+    excise = scoring.excise_near_residue
+
+    def counted_excise(base, coords, m):
+        excised.append(len(coords))
+        return excise(base, coords, m)
+
+    monkeypatch.setattr(scoring, "excise_near_residue", counted_excise)
+    out = score_assay(model, protein, assay, base_cloud=cloud)
+    assert len(out) == 1 + 2 * 19 + 2
+    assert forwards == [(3,), (11,), (3, 11)]
+    assert excised == [1, 1, 2]
+
+
+def test_shared_scores_equal_fresh_score_variant(sat_setup):
+    protein, model, cloud, assay = sat_setup
+    out = score_assay(model, protein, assay, base_cloud=cloud)
+    assert [vs.mutant for vs in out] == [v.mutant for v in assay.variants]
+    assert out[0].score == 0.0 and out[0].provenance == ()
+    for vs in out[1:]:
+        mset = parse_mutation(vs.mutant, protein)
+        reduced, _ = excise_near_residue(
+            cloud, protein.ca_coords[mset.positions], 20)
+        assert vs.score == score_variant(model, protein, mset, cloud=reduced)
+        assert vs.provenance == ("model",) * len(mset)
+
+
+def test_mixed_variants_share_a_pass_under_per_site_gating():
+    import dataclasses
+    protein = make_coil_protein(12, seed=9)
+    plddt = np.full(12, 100.0)
+    plddt[3] = 50.0
+    protein = dataclasses.replace(protein, plddt=plddt)
+    first, second = mutant(protein, (3, 8)), mutant(protein, (3, 8), shift=4)
+    single = mutant(protein, (8,))
+    assay = AssayTable(protein_id="t", variants=tuple(
+        AssayVariant(m, 0.0) for m in (first, single, second)))
+    baseline = {first.split(":")[0]: -1.0, second.split(":")[0]: 0.5}
+    model = s2f_model(seed=10)
+    forwards = count_forwards(model)
+    out = score_assay(model, protein, assay, baseline=baseline,
+                      per_site_gating=True)
+    assert forwards == [(3, 8), (8,)]
+    assert [vs.summary for vs in out] == ["mixed", "model", "mixed"]
+    rows = FitnessModel(model.config).forward_logits(protein, [3, 8]).data
+    for vs in (out[0], out[2]):
+        _, (_, wt, mt) = parse_mutation(vs.mutant, protein).sites
+        assert vs.score == baseline[vs.mutant.split(":")[0]] + (
+            float(rows[1, mt]) - float(rows[1, wt]))
+
+
+def test_file_mode_shares_only_identical_rows():
+    protein = make_coil_protein(10, seed=13)
+    model = FitnessModel(ModelConfig(mode="s2f", embedder="file", seed=14,
+                                     **MODEL_KW))
+    assay = saturation_assay(protein, (4,))
+    base_rows = np.random.default_rng(15).standard_normal(
+        (protein.n_residues, MODEL_KW["embed_dim"]))
+
+    def provider(mset):
+        rows = base_rows.copy()
+        if format_mutation(mset) == assay.variants[7].mutant:
+            rows[0, 0] += 1e-9   # a provider that differs for one variant
+        return ResidueEmbeddings(rows, mask_context_tag(mset.positions))
+
+    forwards = count_forwards(model)
+    out = score_assay(model, protein, assay, embeddings_provider=provider)
+    assert forwards == [(4,), (4,)]
+    for vs in out[1:]:
+        mset = parse_mutation(vs.mutant, protein)
+        assert vs.score == score_variant(model, protein, mset,
+                                         embeddings=provider(mset))
+
+
+def test_non_finite_log_probs_raise_numerics_error():
+    probs = np.full((1, 20), 1.0 / 20)
+    probs[0, 7] = np.nan
+    stub = StubModel(probs)
+    protein = make_coil_protein(8, seed=2)
+    assay = saturation_assay(protein, (4,))
+    with pytest.raises(NumericsError, match="non-finite"):
+        score_assay(stub, protein, assay)
 
 
 # ---------------------------------------------------------------------------

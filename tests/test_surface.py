@@ -231,3 +231,29 @@ def test_cloud_dump_round_trip(tmp_path, coil30):
     assert np.array_equal(again.normals, cloud.normals)
     assert np.array_equal(again.features, cloud.features)
     assert "deadbeef" in path.read_text()
+
+
+def _per_value_text(cloud, header_lines=()):
+    """The dump written one value at a time with repr(float(v))."""
+    n_feat = 0 if cloud.features is None else cloud.features.shape[1]
+    cols = ["x", "y", "z", "nx", "ny", "nz"] + [f"f_{i+1}" for i in range(n_feat)]
+    lines = [f"# {line}\n" for line in header_lines]
+    lines.append("# columns=" + ",".join(cols) + "\n")
+    for i in range(cloud.n_points):
+        row = list(cloud.points[i]) + list(cloud.normals[i])
+        if n_feat:
+            row += list(cloud.features[i])
+        lines.append("\t".join(repr(float(v)) for v in row) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("with_features", [False, True])
+def test_cloud_dump_text_matches_per_value_repr(tmp_path, rng, with_features):
+    points = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
+    points[0] = [0.1, -0.0, 1e16]
+    normals = rng.standard_normal((40, 3))
+    features = rng.standard_normal((40, 5)) if with_features else None
+    cloud = SurfacePointCloud(points=points, normals=normals, features=features)
+    path = tmp_path / "cloud.tsv"
+    write_cloud_tsv(cloud, path, header_lines=["seed=1"])
+    assert path.read_text() == _per_value_text(cloud, header_lines=["seed=1"])
