@@ -8,8 +8,10 @@ its hash, and runs are deterministic given (inputs, config, seed).
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numerical failure.
 
-Heavy imports happen inside the command functions so ``--threads`` can
-pin BLAS thread counts before numpy loads.
+Importing this module loads no numpy (the package ``__init__`` is lazy
+too): the command functions import it only after ``main`` has written
+``--threads`` into the OpenBLAS, OpenMP and MKL thread-count variables,
+which BLAS reads once, when it loads.
 """
 
 from __future__ import annotations

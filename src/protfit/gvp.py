@@ -51,7 +51,6 @@ class GvpParams:
     b_m: Parameter    # (s_out,)
     w_g: Parameter    # (s_out, v_out) vector gate
     b_g: Parameter    # (v_out,)
-    hidden: bool = True   # ReLU on scalars; output layers use identity
 
 
 @dataclass
@@ -126,7 +125,7 @@ def gvp_apply(p: GvpParams, scalar, vector):
     v_h = ad.channel_mix_split(p.w_h, vectors)
     norms = ad.vec_norm(v_h)
     lin = ad.linear_split(scalars + [norms], p.w_m, p.b_m)
-    s_out = ad.relu(lin) if p.hidden else lin
+    s_out = ad.relu(lin)
     v_mu = ad.channel_mix(p.w_mu, v_h)
     gate = ad.sigmoid(ad.linear_split([s_out], p.w_g, p.b_g))
     v_out = v_mu * ad.reshape(gate, gate.shape + (1,))
@@ -473,6 +472,9 @@ def save_checkpoint(model: FitnessModel, path) -> None:
 
 
 def load_checkpoint(path) -> FitnessModel:
+    """Read an S3FC file written by ``save_checkpoint``. Raises DataError
+    unless the file holds exactly one tensor of the right shape for every
+    parameter of its config, and nothing after the last one."""
     from pathlib import Path
     path = Path(path)
     if not path.exists():
@@ -480,31 +482,43 @@ def load_checkpoint(path) -> FitnessModel:
     blob = path.read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: magic mismatch (not an S3FC file)")
-    version, cfg_len = struct.unpack("<II", blob[4:12])
+    offset = 4
+
+    def take(size: int) -> bytes:
+        nonlocal offset
+        if size > len(blob) - offset:
+            raise DataError(f"{path}: truncated checkpoint")
+        offset += size
+        return blob[offset - size:offset]
+
+    def u32s(count: int) -> tuple:
+        return struct.unpack(f"<{count}I", take(4 * count))
+
+    version, cfg_len = u32s(2)
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
-    config = ModelConfig.from_json(blob[offset:offset + cfg_len].decode("utf-8"))
-    offset += cfg_len
-    model = FitnessModel(config)
-    (n_tensors,) = struct.unpack("<I", blob[offset:offset + 4])
-    offset += 4
+    config = take(cfg_len)
+    try:
+        model = FitnessModel(ModelConfig.from_json(config.decode("utf-8")))
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"{path}: unreadable model config ({exc})") from None
+    loaded = set()
+    (n_tensors,) = u32s(1)
     for _ in range(n_tensors):
-        (name_len,) = struct.unpack("<I", blob[offset:offset + 4])
-        offset += 4
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack("<I", blob[offset:offset + 4])
-        offset += 4
-        shape = struct.unpack(f"<{ndim}I", blob[offset:offset + 4 * ndim])
-        offset += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(blob[offset:offset + 4 * count], dtype="<f4")
-        offset += 4 * count
-        if name not in model.params:
+        (name_len,) = u32s(1)
+        name = take(name_len).decode("utf-8", errors="replace")
+        if name not in model.params or name in loaded:
             raise DataError(f"{path}: unexpected tensor {name!r}")
         target = model.params[name]
-        if tuple(shape) != target.data.shape:
+        (ndim,) = u32s(1)
+        if u32s(ndim) != target.data.shape:
             raise DataError(f"{path}: shape mismatch for {name!r}")
-        target.data = data.reshape(shape).astype(np.float64)
+        data = np.frombuffer(take(4 * target.data.size), dtype="<f4")
+        target.data = data.reshape(target.data.shape).astype(np.float64)
+        loaded.add(name)
+    if offset != len(blob):
+        raise DataError(f"{path}: {len(blob) - offset} bytes after the last tensor")
+    missing = sorted(set(model.params) - loaded)
+    if missing:
+        raise DataError(f"{path}: missing tensors {missing}")
     return model

@@ -99,7 +99,6 @@ def score_assay(model: FitnessModel, protein: Protein, assay: AssayTable, *,
                 plddt_threshold: float = DEFAULT_PLDDT_THRESHOLD,
                 per_site_gating: bool = False,
                 excise_m: int = DEFAULT_EXCISE_M,
-                offset: int = None,
                 mode: str = None) -> list:
     """Score every assay variant, routing low-pLDDT sites to the baseline.
 
@@ -117,7 +116,7 @@ def score_assay(model: FitnessModel, protein: Protein, assay: AssayTable, *,
     passes = {}   # masked position set (plus file-mode rows) -> log-prob rows
     results = []
     for variant in assay.variants:
-        mset = parse_mutation(variant.mutant, protein, offset)
+        mset = parse_mutation(variant.mutant, protein)
         if not mset.sites:
             results.append(VariantScore(variant.mutant, 0.0, ()))
             continue
@@ -130,8 +129,7 @@ def score_assay(model: FitnessModel, protein: Protein, assay: AssayTable, *,
             log_probs = _shared_pass(passes, model, protein, mset,
                                      embeddings_provider, base_cloud,
                                      needs_surface, excise_m, mode, graph)
-            score, tags = _site_sum(log_probs, protein, mset, low, baseline,
-                                    offset)
+            score, tags = _site_sum(log_probs, protein, mset, low, baseline)
         results.append(VariantScore(variant.mutant, score, tags))
     return results
 
@@ -161,7 +159,7 @@ def _shared_pass(passes, model, protein, mset, embeddings_provider, base_cloud,
     return log_probs
 
 
-def _site_sum(log_probs, protein, mset, low, baseline, offset):
+def _site_sum(log_probs, protein, mset, low, baseline):
     """Left-to-right sum over sites: model log-odds terms for confident
     sites, per-site baseline values where ``low`` is set."""
     score = 0.0
@@ -169,7 +167,7 @@ def _site_sum(log_probs, protein, mset, low, baseline, offset):
     for row, (pos, wt, mt), is_low in zip(log_probs, mset.sites, low):
         if is_low:
             site_key = format_mutation(MutationSet(((pos, wt, mt),)),
-                                       offset=protein.chain_offset if offset is None else offset)
+                                       offset=protein.chain_offset)
             score += _baseline_lookup(baseline, site_key, site_key)
             tags.append("baseline")
         else:

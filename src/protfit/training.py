@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,6 +144,9 @@ class Adam:
         return {"t": self.t, "m": self.m, "v": self.v}
 
     def load_state(self, state: dict):
+        for moments in (state["m"], state["v"]):
+            if set(moments) != set(self.params):
+                raise DataError("resume state lacks Adam moments for some parameters")
         self.t = int(state["t"])
         self.m = {k: np.asarray(v) for k, v in state["m"].items()}
         self.v = {k: np.asarray(v) for k, v in state["v"].items()}
@@ -322,24 +326,40 @@ def save_train_state(path, model: FitnessModel, optimizer, rng,
 
 
 def load_train_state(path):
-    """Rebuild (model, optimizer state dict, rng, next_epoch) from a sidecar."""
+    """Rebuild (model, optimizer state dict, rng, next_epoch) from a sidecar.
+
+    Raises DataError unless the file reads whole and holds a float array of
+    the right shape for every parameter, and moments only for parameters.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"resume state not found: {path}")
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+    try:
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
         model = FitnessModel(ModelConfig.from_json(meta["config"]))
-        opt_state = {"t": meta["t"], "m": {}, "v": {}}
-        for key in data.files:
-            if key.startswith("p/"):
-                model.params[key[2:]].data = data[key].astype(np.float64)
-            elif key.startswith("m/"):
-                opt_state["m"][key[2:]] = data[key]
-            elif key.startswith("v/"):
-                opt_state["v"][key[2:]] = data[key]
-    rng = np.random.default_rng()
-    rng.bit_generator.state = meta["rng"]
-    return model, opt_state, rng, int(meta["next_epoch"])
+        t, next_epoch = int(meta["t"]), int(meta["next_epoch"])
+        rng = np.random.default_rng()
+        rng.bit_generator.state = meta["rng"]
+    except (OSError, EOFError, ValueError, TypeError, KeyError,
+            zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: unreadable resume state ({exc!r})") from None
+    groups = {"p": {}, "m": {}, "v": {}}
+    for key, arr in arrays.items():
+        kind, _, name = key.partition("/")
+        if kind not in groups or name not in model.params:
+            raise DataError(f"{path}: unexpected array {key!r}")
+        if arr.dtype.kind != "f" or arr.shape != model.params[name].data.shape:
+            raise DataError(f"{path}: bad dtype or shape for {key!r}")
+        groups[kind][name] = arr
+    missing = sorted(set(model.params) - set(groups["p"]))
+    if missing:
+        raise DataError(f"{path}: missing parameters {missing}")
+    for name, arr in groups["p"].items():
+        model.params[name].data = arr.astype(np.float64)
+    opt_state = {"t": t, "m": groups["m"], "v": groups["v"]}
+    return model, opt_state, rng, next_epoch
 
 
 def pretrain(corpus_dir, model_cfg: ModelConfig, train_cfg: TrainConfig,

@@ -102,6 +102,17 @@ def test_surface_config_file_layering(workspace, tmp_path):
     assert proc.returncode == 1
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    """``main`` applies ``--threads`` before numpy loads, so importing the
+    command-line module must not load it; package names still resolve."""
+    probe = ("import sys, protfit.cli; loaded = 'numpy' in sys.modules; "
+             "import protfit; print(loaded, protfit.FitnessModel.__name__)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "FitnessModel"]
+
+
 def test_unknown_flag_is_usage_error(workspace):
     root, _, _ = workspace
     proc = run_cli("surface", root / "corpus" / "motif000.tsv",
@@ -214,6 +225,17 @@ def test_score_ensemble_column_matches_oracle(workspace, trained, tmp_path):
     za = (model_scores - model_scores.mean()) / model_scores.std()
     zb = (ext_scores - ext_scores.mean()) / ext_scores.std()
     assert np.abs(ens - (za + zb)).max() < 1e-10
+
+
+def test_score_truncated_checkpoint_exits_2(workspace, trained, tmp_path):
+    root, _, _ = workspace
+    cut = tmp_path / "cut.s3fc"
+    cut.write_bytes(trained.read_bytes()[:-5])
+    proc = run_cli("score", cut, root / "corpus" / "motif000.tsv",
+                   root / "assay.csv", "--out", tmp_path / "s.csv",
+                   *SURFACE_FLAGS)
+    assert proc.returncode == 2, proc.stderr
+    assert "truncated checkpoint" in proc.stderr
 
 
 def test_score_ablation_mode_override(workspace, trained, tmp_path):

@@ -25,7 +25,7 @@ def small_model(mode="s3f", seed=0, **kw):
     return FitnessModel(cfg)
 
 
-def random_gvp(rng, s_in, v_in, s_out, v_out, hidden=True):
+def random_gvp(rng, s_in, v_in, s_out, v_out):
     d_h = max(v_in, v_out)
     return GvpParams(
         w_h=Parameter(rng.standard_normal((d_h, v_in))),
@@ -33,8 +33,7 @@ def random_gvp(rng, s_in, v_in, s_out, v_out, hidden=True):
         w_m=Parameter(rng.standard_normal((s_in + d_h, s_out))),
         b_m=Parameter(rng.standard_normal(s_out)),
         w_g=Parameter(rng.standard_normal((s_out, v_out))),
-        b_g=Parameter(rng.standard_normal(v_out)),
-        hidden=hidden)
+        b_g=Parameter(rng.standard_normal(v_out)))
 
 
 def make_cloud(protein, seed=0, n_max=96):
@@ -171,11 +170,11 @@ def test_two_node_block_matches_hand_evaluation(rng):
                               GvpState(Tensor(s0), Tensor(v0)),
                               normalize=False)
 
-    def hand_gvp(p, s_in, v_in, hidden=True):
+    def hand_gvp(p, s_in, v_in):
         vh = np.einsum("oi,nix->nox", p.w_h.data, v_in)
         norms = np.sqrt((vh ** 2).sum(axis=2) + 1e-8)
         lin = np.concatenate([s_in, norms], axis=1) @ p.w_m.data + p.b_m.data
-        s_out = np.maximum(lin, 0.0) if hidden else lin
+        s_out = np.maximum(lin, 0.0)
         vmu = np.einsum("oi,nix->nox", p.w_mu.data, vh)
         gate = 1.0 / (1.0 + np.exp(-(s_out @ p.w_g.data + p.b_g.data)))
         return s_out, vmu * gate[:, :, None]
@@ -476,4 +475,31 @@ def test_checkpoint_magic_guard(tmp_path):
     path = tmp_path / "m.s3fc"
     path.write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(DataError, match="magic"):
+        load_checkpoint(path)
+
+
+TINY_MODEL = dict(mode="s2f", scalar_dim=2, vector_dim=1, structure_layers=1,
+                  embed_dim=2, rbf_kernels=2)
+
+
+def test_checkpoint_cut_at_any_byte_is_data_error(tmp_path):
+    path = tmp_path / "m.s3fc"
+    save_checkpoint(FitnessModel(ModelConfig(**TINY_MODEL)), path)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.s3fc"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(DataError):
+            load_checkpoint(cut)
+    cut.write_bytes(blob + b"\0")
+    with pytest.raises(DataError, match="after the last tensor"):
+        load_checkpoint(cut)
+
+
+def test_checkpoint_missing_tensor_is_data_error(tmp_path):
+    model = FitnessModel(ModelConfig(**TINY_MODEL))
+    del model.params["head.b"]
+    path = tmp_path / "m.s3fc"
+    save_checkpoint(model, path)
+    with pytest.raises(DataError, match="missing tensors.*head.b"):
         load_checkpoint(path)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import make_coil_protein, random_rotation
 from protfit.errors import DataError
 from protfit.io import Protein
 from protfit.surface import (SurfaceConfig, SurfacePointCloud,
-                             _field, _gaussian_curvature, excise_near_residue,
+                             _field, _gaussian_curvature,
+                             _heat_kernel_signature, excise_near_residue,
                              generate_surface, read_cloud_tsv, smooth_distance,
                              smooth_distance_grad, surface_features,
                              write_cloud_tsv)
@@ -156,6 +158,61 @@ def test_features_standardized(coil30):
     assert feats.shape == (cloud.n_points, 1 + len(SMALL.hks_times))
     assert np.abs(feats.mean(axis=0)).max() < 1e-9
     assert np.abs(feats.std(axis=0) - 1).max() < 1e-9
+
+
+def _dense_hks(pts, cfg):
+    """Oracle: brute-force kNN graph, dense Laplacian, ``scipy.linalg.eigh``."""
+    n = len(pts)
+    k = min(cfg.knn_k, n - 1)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    nbr = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    nd = np.take_along_axis(dist, nbr, axis=1)
+    w = np.zeros((n, n))
+    np.put_along_axis(w, nbr, np.exp(-nd ** 2 / nd.mean() ** 2), axis=1)
+    w = (w + w.T) / 2
+    dinv = w.sum(axis=1) ** -0.5
+    lap = np.eye(n) - dinv[:, None] * w * dinv[None, :]
+    m = min(cfg.hks_eigenpairs, n - 1)
+    evals, evecs = scipy.linalg.eigh(lap, subset_by_index=[0, m - 1])
+    return evecs ** 2 @ np.exp(-np.outer(evals, cfg.hks_times))
+
+
+@pytest.fixture(scope="module")
+def large_surface():
+    """A real surface of 2400 points."""
+    cfg = SurfaceConfig(max_points=2400)
+    return generate_surface(make_coil_protein(170, seed=3), cfg, seed=0), cfg
+
+
+def test_features_bit_identical_across_calls(large_surface):
+    cloud, cfg = large_surface
+    first = surface_features(cloud, cfg)
+    other = generate_surface(make_coil_protein(30, seed=7), SMALL, seed=0)
+    surface_features(other, SMALL)
+    for _ in range(2):
+        assert np.array_equal(surface_features(cloud, cfg), first)
+
+
+def _hks_case(case, large_surface):
+    if case == "large":
+        return large_surface[0].points, large_surface[1]
+    if case == "coil":
+        cfg = SurfaceConfig(max_points=600)
+        return generate_surface(make_coil_protein(60, seed=3), cfg).points, cfg
+    # Gaussian point sets whose Laplacian has an exactly singular LU factor
+    # at shift 0: seeds 1156 and 1255 draw 106 and 221 points
+    rng = np.random.default_rng(case)
+    return 5.0 * rng.standard_normal((int(rng.integers(8, 400)), 3)), SurfaceConfig()
+
+
+@pytest.mark.parametrize("case", [1156, 1255, "coil", "large"])
+def test_hks_matches_dense_eigh(case, large_surface):
+    pts, cfg = _hks_case(case, large_surface)
+    hks = _heat_kernel_signature(pts, cfg)
+    expected = _dense_hks(pts, cfg)
+    assert hks.shape == (len(pts), len(cfg.hks_times))
+    np.testing.assert_allclose(hks, expected, rtol=1e-10, atol=0)
 
 
 def test_features_need_enough_points():

@@ -9,8 +9,9 @@ from protfit.gvp import FitnessModel, ModelConfig, load_checkpoint
 from protfit.surface import SurfaceConfig, excise_near_residue, generate_surface, surface_features
 from protfit.training import (Adam, CorpusItem, MASK, KEEP, RANDOM,
                               MaskingPolicy, TrainConfig, apply_mask,
-                              clip_gradients, load_corpus, make_optimizer,
-                              pretrain, pretrain_step)
+                              clip_gradients, load_corpus, load_train_state,
+                              make_optimizer, pretrain, pretrain_step,
+                              save_train_state)
 
 MODEL_KW = dict(scalar_dim=12, vector_dim=3, structure_layers=2,
                 surface_layers=2, init_hidden=8, embed_dim=12, rbf_kernels=4)
@@ -232,6 +233,45 @@ def test_pretrain_resume_equivalence(tmp_path):
         resume=tmp_path / "run" / "checkpoint_epoch0001.state.npz")
     for k in full.params:
         assert np.array_equal(full.params[k].data, resumed.params[k].data)
+
+
+def _tiny_train_state(path, optimizer="adam"):
+    model = FitnessModel(ModelConfig(mode="s2f", scalar_dim=2, vector_dim=1,
+                                     structure_layers=1, embed_dim=2,
+                                     rbf_kernels=2))
+    opt = make_optimizer(model, TrainConfig(mode="s2f", optimizer=optimizer))
+    save_train_state(path, model, opt, np.random.default_rng(0), 1)
+    return model
+
+
+def test_train_state_cut_at_any_byte_is_data_error(tmp_path):
+    path = tmp_path / "s.state.npz"
+    _tiny_train_state(path)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.npz"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(DataError):
+            load_train_state(cut)
+
+
+def test_train_state_needs_every_parameter(tmp_path):
+    path = tmp_path / "s.state.npz"
+    model = _tiny_train_state(path)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    np.savez(tmp_path / "drop.npz",
+             **{k: v for k, v in arrays.items() if k != "p/head.b"})
+    with pytest.raises(DataError, match="missing parameters.*head.b"):
+        load_train_state(tmp_path / "drop.npz")
+    np.savez(tmp_path / "extra.npz", **arrays, **{"p/extra": np.zeros(2)})
+    with pytest.raises(DataError, match="unexpected array"):
+        load_train_state(tmp_path / "extra.npz")
+    # an SGD sidecar has no moments for Adam to resume from
+    _tiny_train_state(tmp_path / "sgd.npz", optimizer="sgd")
+    _, opt_state, _, _ = load_train_state(tmp_path / "sgd.npz")
+    with pytest.raises(DataError, match="Adam moments"):
+        Adam(model.params, 1e-3).load_state(opt_state)
 
 
 def test_pretrain_loss_log_written(tmp_path):
