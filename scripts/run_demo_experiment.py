@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from protfit.corpus import make_motif_corpus, make_synthetic_variants
-from protfit.scoring import read_scores_csv
+from protfit.io import load_external_scores
 
 SURFACE_FLAGS = ["--min-points", "128", "--max-points", "224",
                  "--seeds-per-atom", "16"]
@@ -66,7 +66,7 @@ def main():
         "--out", root / "scores.csv",
         "--cloud", root / "clouds" / f"{target.id}.surface.tsv")
 
-    scores = read_scores_csv(root / "scores.csv")
+    scores = load_external_scores(root / "scores.csv")
     values = np.array([scores[v] for v in variants])
     noise = np.random.default_rng(args.seed + 8).normal(
         0, 0.05 * values.std(), len(values))

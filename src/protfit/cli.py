@@ -313,11 +313,9 @@ def _variant_depth(mutant: str) -> int:
 
 
 def _assay_column(path, column):
-    import csv
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    rows = list(csv.DictReader(lines))
-    if rows and column not in rows[0]:
+    from .io import read_csv
+    header, rows = read_csv(path)
+    if column not in header:
         raise DataError(f"{path}: no column {column!r} for --group-by")
     return [row[column] for row in rows]
 
@@ -325,11 +323,10 @@ def _assay_column(path, column):
 def cmd_eval(args) -> int:
     import numpy as np
 
-    from .io import load_assay
+    from .io import load_assay, load_external_scores
     from .metrics import (aggregate_results, bootstrap_diff_stderr,
                           emit_report, evaluate_assay, METRIC_COLUMNS,
                           spearman)
-    from .scoring import read_scores_csv
     defaults = {"seed": 0, "format": "csv", "group_by": None, "bootstrap": 0}
     resolved = _resolve(args, defaults)
     if len(args.scores) != len(args.assay):
@@ -338,7 +335,7 @@ def cmd_eval(args) -> int:
         raise UsageError("--scores-b must pair with --assay one to one")
 
     def aligned(scores_path, assay, assay_path):
-        table = read_scores_csv(scores_path)
+        table = load_external_scores(scores_path)
         missing = [v.mutant for v in assay.variants if v.mutant not in table]
         if missing:
             raise DataError(f"{scores_path}: missing scores for "
@@ -402,12 +399,10 @@ def cmd_eval(args) -> int:
 def cmd_embed_pack(args) -> int:
     import numpy as np
 
-    from .io import save_embeddings
+    from .io import read_text_lines, save_embeddings
     path = Path(args.matrix)
-    if not path.exists():
-        raise DataError(f"matrix file not found: {path}")
     try:
-        rows = np.loadtxt(path, ndmin=2)
+        rows = np.loadtxt(read_text_lines(path), ndmin=2)
     except ValueError as exc:
         raise DataError(f"{path}: cannot parse matrix ({exc})")
     save_embeddings(args.out, rows, context_tag=args.tag or "")

@@ -1,5 +1,5 @@
 """Ingestion of structures, assay tables, mutation strings, residue
-embeddings and external score files, plus the matching writers.
+embeddings and external score files, plus the shared text-table core.
 
 All readers are pure functions over immutable inputs and are safe to call
 concurrently. On-disk formats:
@@ -11,7 +11,15 @@ concurrently. On-disk formats:
   holding the masking context tag
 * assay CSV: header with ``mutant``, ``DMS_score``, optional
   ``DMS_score_bin``
-* external scores CSV: header ``mutant,score``
+* scores CSV: header with ``mutant`` and ``score`` (external, baseline
+  and written score files alike); every score must be finite
+
+Every text table (structures, assays, scores, cloud dumps, reports) is
+read through ``read_text_lines``: the bytes must decode as UTF-8 and
+lines starting with ``#`` are comments. ``read_csv_rows`` and
+``read_csv`` parse CSV on top of it, and ``write_csv`` writes every CSV
+table: ``# `` header lines, then the rows. Malformed input of any kind
+raises DataError.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -46,13 +55,6 @@ _MUTATION_TOKEN = re.compile(r"^([A-Z])(\d+)([A-Z])$")
 
 def codes_to_str(codes) -> str:
     return "".join(RESIDUE_TYPES[c] for c in codes)
-
-
-def str_to_codes(seq: str) -> np.ndarray:
-    try:
-        return np.array([RESIDUE_INDEX[c] for c in seq], dtype=np.int64)
-    except KeyError as exc:
-        raise DataError(f"unknown residue letter {exc.args[0]!r}") from None
 
 
 def mask_context_tag(positions) -> str:
@@ -190,10 +192,7 @@ class AssayTable:
 
 def parse_structure(data, fmt: str, name: str = "protein") -> Protein:
     """Parse a structure stream in ``pdb-min`` or ``tsv`` format."""
-    if isinstance(data, bytes):
-        text = data.decode("utf-8")
-    else:
-        text = data
+    text = _decode(data, name) if isinstance(data, bytes) else data
     if fmt == "pdb-min":
         return _parse_pdb_min(text, name)
     if fmt == "tsv":
@@ -391,24 +390,67 @@ def load_embeddings(path) -> ResidueEmbeddings:
 
 
 # ---------------------------------------------------------------------------
-# assay and score CSVs
+# text tables
 # ---------------------------------------------------------------------------
 
-def _csv_rows(path):
+def _decode(data: bytes, where) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{where}: not UTF-8 text (byte {exc.start})") from None
+
+
+def read_text_lines(path) -> list:
+    """Lines of a UTF-8 text file, line ends kept, ``#`` lines dropped."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    return list(csv.DictReader(lines))
+    text = StringIO(_decode(path.read_bytes(), path), newline="")
+    return [line for line in text if not line.startswith("#")]
 
+
+def read_csv_rows(path) -> list:
+    """Cell lists of a CSV text table; blank rows are skipped."""
+    try:
+        return [row for row in csv.reader(read_text_lines(path)) if row]
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed CSV ({exc})") from None
+
+
+def read_csv(path) -> tuple:
+    """(header, rows) of a CSV text table, each row a dict keyed by the
+    header. A row with fewer cells than the header is a DataError; cells
+    past the header are ignored."""
+    rows = read_csv_rows(path)
+    if not rows:
+        return [], []
+    header = rows[0]
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) < len(header):
+            raise DataError(f"{path} row {i}: {len(row)} cells, header has "
+                            f"{len(header)}")
+    return header, [dict(zip(header, row)) for row in rows[1:]]
+
+
+def write_csv(path, columns, rows, header_lines=()) -> None:
+    """Write ``# `` header lines, then a CSV table of ``columns`` and ``rows``."""
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+# ---------------------------------------------------------------------------
+# assay and score CSVs
+# ---------------------------------------------------------------------------
 
 def load_assay(path, protein_id: str = None) -> AssayTable:
     path = Path(path)
-    rows = _csv_rows(path)
+    header, rows = read_csv(path)
     if not rows:
         raise DataError(f"{path}: empty assay table")
-    header = rows[0].keys()
     for col in ("mutant", "DMS_score"):
         if col not in header:
             raise DataError(f"{path}: missing mandatory column {col!r}")
@@ -417,13 +459,13 @@ def load_assay(path, protein_id: str = None) -> AssayTable:
     for i, row in enumerate(rows, start=2):
         try:
             score = float(row["DMS_score"])
-        except (TypeError, ValueError):
+        except ValueError:
             raise DataError(f"{path} row {i}: unparseable DMS_score") from None
         if math.isnan(score):
             raise DataError(f"{path} row {i}: NaN DMS_score")
         dms_bin = None
         if has_bin:
-            raw = (row["DMS_score_bin"] or "").strip()
+            raw = row["DMS_score_bin"].strip()
             if raw not in ("0", "1"):
                 raise DataError(f"{path} row {i}: DMS_score_bin must be 0 or 1")
             dms_bin = int(raw)
@@ -432,21 +474,22 @@ def load_assay(path, protein_id: str = None) -> AssayTable:
 
 
 def load_external_scores(path) -> dict:
-    """Read a 2-column ``mutant,score`` CSV into an ordered map."""
+    """Read a scores CSV (``mutant`` and ``score`` columns, others ignored)
+    into an ordered mutant -> score map; every score must be finite."""
     path = Path(path)
-    rows = _csv_rows(path)
+    header, rows = read_csv(path)
+    if "mutant" not in header or "score" not in header:
+        raise DataError(f"{path}: expected header columns mutant,score")
     out = {}
     for i, row in enumerate(rows, start=2):
-        if "mutant" not in row or "score" not in row:
-            raise DataError(f"{path}: expected header columns mutant,score")
         key = row["mutant"].strip()
         if key in out:
             raise DataError(f"{path} row {i}: duplicate mutant key {key!r}")
         try:
             value = float(row["score"])
-        except (TypeError, ValueError):
+        except ValueError:
             raise DataError(f"{path} row {i}: unparseable score") from None
-        if math.isnan(value):
-            raise DataError(f"{path} row {i}: NaN score")
+        if not math.isfinite(value):
+            raise DataError(f"{path} row {i}: non-finite score {value!r}")
         out[key] = value
     return out

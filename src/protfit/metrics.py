@@ -10,16 +10,14 @@ confusion-matrix marginal is empty.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .io import AssayTable
+from .io import AssayTable, read_csv_rows, write_csv
 
 METRIC_COLUMNS = ("spearman", "auc", "mcc", "ndcg", "recall10")
 
@@ -218,24 +216,18 @@ def emit_report(path, results: list, fmt: str = "csv", aggregate: dict = None,
     if aggregate is None:
         aggregate = aggregate_results(results)
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["assay_id", "n_variants", *METRIC_COLUMNS])
-            for r in results:
-                writer.writerow([r.assay_id, r.n_variants] +
-                                [repr(getattr(r, m)) for m in METRIC_COLUMNS])
-            writer.writerow([aggregate["assay_id"], aggregate["n_variants"]] +
-                            [repr(aggregate[m]) for m in METRIC_COLUMNS])
-            for key in sorted(groups or {}):
-                g = groups[key]
-                writer.writerow([f"GROUP:{key}", g["n_variants"]] +
-                                [repr(g[m]) for m in METRIC_COLUMNS])
-            if significance:
-                for key in sorted(significance):
-                    writer.writerow([f"SIGNIFICANCE:{key}",
-                                     repr(significance[key])])
+        rows = [[r.assay_id, r.n_variants] +
+                [repr(getattr(r, m)) for m in METRIC_COLUMNS] for r in results]
+        rows.append([aggregate["assay_id"], aggregate["n_variants"]] +
+                    [repr(aggregate[m]) for m in METRIC_COLUMNS])
+        for key in sorted(groups or {}):
+            g = groups[key]
+            rows.append([f"GROUP:{key}", g["n_variants"]] +
+                        [repr(g[m]) for m in METRIC_COLUMNS])
+        for key in sorted(significance or {}):
+            rows.append([f"SIGNIFICANCE:{key}", repr(significance[key])])
+        write_csv(path, ["assay_id", "n_variants", *METRIC_COLUMNS], rows,
+                  header_lines)
     elif fmt == "json":
         payload = {
             "assays": [dict(zip(["assay_id", "n_variants", *METRIC_COLUMNS],
@@ -257,23 +249,22 @@ def emit_report(path, results: list, fmt: str = "csv", aggregate: dict = None,
 
 def read_report_csv(path) -> dict:
     """Parse an emitted CSV report back into assays/aggregate/groups."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"report not found: {path}")
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    rows = list(csv.reader(lines))
-    header, body = rows[0], rows[1:]
-    if header[:2] != ["assay_id", "n_variants"]:
+    rows = read_csv_rows(path)
+    if not rows or rows[0][:2] != ["assay_id", "n_variants"]:
         raise DataError(f"{path}: unexpected report header")
     out = {"assays": [], "aggregate": None, "groups": {}, "significance": {}}
-    for row in body:
-        key = row[0]
-        if key.startswith("SIGNIFICANCE:"):
-            out["significance"][key.split(":", 1)[1]] = float(row[1])
-            continue
-        record = {"assay_id": key, "n_variants": int(row[1])}
-        record.update({m: float(v) for m, v in zip(METRIC_COLUMNS, row[2:])})
+    for row in rows[1:]:
+        key, *cells = row
+        try:
+            if key.startswith("SIGNIFICANCE:"):
+                (value,) = cells
+                out["significance"][key.split(":", 1)[1]] = float(value)
+                continue
+            count, *values = cells
+            record = {"assay_id": key, "n_variants": int(count),
+                      **dict(zip(METRIC_COLUMNS, map(float, values), strict=True))}
+        except ValueError:
+            raise DataError(f"{path}: malformed report row {row!r}") from None
         if key == "AGGREGATE":
             out["aggregate"] = record
         elif key.startswith("GROUP:"):

@@ -21,9 +21,7 @@ available behind a flag.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +30,8 @@ from .errors import DataError, NumericsError
 from .geometry import build_radius_graph
 from .gvp import FitnessModel
 from .io import (AssayTable, MutationSet, Protein, ResidueEmbeddings,
-                 format_mutation, parse_mutation)
+                 format_mutation, load_external_scores, parse_mutation,
+                 write_csv)
 from .surface import SurfacePointCloud, excise_near_residue
 
 DEFAULT_PLDDT_THRESHOLD = 70.0
@@ -98,7 +97,6 @@ def score_assay(model: FitnessModel, protein: Protein, assay: AssayTable, *,
                 baseline: dict = None,
                 plddt_threshold: float = DEFAULT_PLDDT_THRESHOLD,
                 per_site_gating: bool = False,
-                excise_m: int = DEFAULT_EXCISE_M,
                 mode: str = None) -> list:
     """Score every assay variant, routing low-pLDDT sites to the baseline.
 
@@ -128,14 +126,14 @@ def score_assay(model: FitnessModel, protein: Protein, assay: AssayTable, *,
         else:
             log_probs = _shared_pass(passes, model, protein, mset,
                                      embeddings_provider, base_cloud,
-                                     needs_surface, excise_m, mode, graph)
+                                     needs_surface, mode, graph)
             score, tags = _site_sum(log_probs, protein, mset, low, baseline)
         results.append(VariantScore(variant.mutant, score, tags))
     return results
 
 
 def _shared_pass(passes, model, protein, mset, embeddings_provider, base_cloud,
-                 needs_surface, excise_m, mode, graph):
+                 needs_surface, mode, graph):
     """Log-prob rows of the joint forward pass with every site of ``mset``
     masked (and the cloud excised around them), run on the first variant
     with its key and looked up in ``passes`` for the rest. File-mode rows
@@ -151,7 +149,7 @@ def _shared_pass(passes, model, protein, mset, embeddings_provider, base_cloud,
         cloud = None
         if needs_surface:
             cloud, _ = excise_near_residue(
-                base_cloud, protein.ca_coords[mset.positions], excise_m)
+                base_cloud, protein.ca_coords[mset.positions], DEFAULT_EXCISE_M)
         log_probs = _log_probs(model, protein, mset.positions, mode=mode,
                                embeddings=embeddings, cloud=cloud,
                                structure_graph=graph)
@@ -202,38 +200,14 @@ def ensemble_zscores(scores_a, scores_b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def write_scores_csv(path, scores: list, header_lines=(), ensembled=None) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        columns = ["mutant", "score", "provenance"]
-        if ensembled is not None:
-            columns.append("ensembled")
-        writer.writerow(columns)
-        for i, vs in enumerate(scores):
-            row = [vs.mutant, repr(vs.score), vs.summary]
-            if ensembled is not None:
-                row.append(repr(float(ensembled[i])))
-            writer.writerow(row)
+    columns = ["mutant", "score", "provenance"]
+    rows = [[vs.mutant, repr(vs.score), vs.summary] for vs in scores]
+    if ensembled is not None:
+        columns.append("ensembled")
+        for row, value in zip(rows, ensembled, strict=True):
+            row.append(repr(float(value)))
+    write_csv(path, columns, rows, header_lines)
 
 
-def read_scores_csv(path) -> dict:
-    """Read a scores CSV (ours or a bare mutant,score file) into an
-    ordered mutant -> score map."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"scores file not found: {path}")
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    out = {}
-    for i, row in enumerate(csv.DictReader(lines), start=2):
-        if "mutant" not in row or "score" not in row:
-            raise DataError(f"{path}: expected mutant and score columns")
-        key = row["mutant"].strip()
-        if key in out:
-            raise DataError(f"{path} row {i}: duplicate mutant {key!r}")
-        try:
-            out[key] = float(row["score"])
-        except (TypeError, ValueError):
-            raise DataError(f"{path} row {i}: unparseable score") from None
-    return out
+# Score files have one reader; perfbench calls it by this name.
+read_scores_csv = load_external_scores

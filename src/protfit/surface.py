@@ -25,7 +25,7 @@ import scipy.sparse.linalg
 
 from .errors import DataError, NumericsError
 from .geometry import cross_knn
-from .io import Protein
+from .io import Protein, read_text_lines
 
 _DEFAULT_HKS_TIMES = tuple(np.logspace(-0.5, 1.5, 4))
 
@@ -65,7 +65,6 @@ class SurfacePointCloud:
     points: np.ndarray            # (n_s, 3)
     normals: np.ndarray           # (n_s, 3) unit
     features: np.ndarray = None   # (n_s, d_f) or None until computed
-    source_protein: str = ""
 
     @property
     def n_points(self) -> int:
@@ -77,8 +76,7 @@ class SurfacePointCloud:
     def subset(self, idx: np.ndarray) -> "SurfacePointCloud":
         return SurfacePointCloud(
             points=self.points[idx], normals=self.normals[idx],
-            features=None if self.features is None else self.features[idx],
-            source_protein=self.source_protein)
+            features=None if self.features is None else self.features[idx])
 
 
 @dataclass(frozen=True)
@@ -288,8 +286,7 @@ def generate_surface(protein: Protein, cfg: SurfaceConfig = None,
         outer = outer[pick]
     _, grad = _field(outer, atoms, cfg.smoothing, with_grad=True)
     normals = grad / np.linalg.norm(grad, axis=1, keepdims=True)
-    return SurfacePointCloud(points=outer, normals=normals,
-                             source_protein=protein.id)
+    return SurfacePointCloud(points=outer, normals=normals)
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +408,19 @@ def write_cloud_tsv(cloud: SurfacePointCloud, path, header_lines=()) -> None:
 
 
 def read_cloud_tsv(path) -> SurfacePointCloud:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(v) for v in line.split("\t")])
-    if not rows:
+    """Read a cloud dump back; every row must hold the same number (at
+    least 6) of finite values."""
+    lines = read_text_lines(path)
+    if not any(line.strip() for line in lines):
         raise DataError(f"{path}: empty cloud dump")
-    data = np.array(rows)
+    try:
+        data = np.loadtxt(lines, delimiter="\t", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed cloud dump ({exc})") from None
     if data.shape[1] < 6:
         raise DataError(f"{path}: expected at least 6 columns")
+    if not np.isfinite(data).all():
+        raise DataError(f"{path}: non-finite value in cloud dump")
     features = data[:, 6:] if data.shape[1] > 6 else None
     return SurfacePointCloud(points=data[:, :3], normals=data[:, 3:6],
                              features=features)

@@ -14,7 +14,6 @@ sidecar state written next to each checkpoint.
 
 from __future__ import annotations
 
-import csv
 import json
 import zipfile
 from dataclasses import dataclass
@@ -25,7 +24,9 @@ import numpy as np
 from .errors import DataError, NumericsError
 from .geometry import build_radius_graph
 from .gvp import Corruption, FitnessModel, ModelConfig, save_checkpoint
-from .io import N_RESIDUE_TYPES, Protein, load_embeddings, load_structure
+from .io import (N_RESIDUE_TYPES, Protein, load_embeddings, load_structure,
+                 write_csv)
+from .scoring import DEFAULT_EXCISE_M
 from .surface import (SurfaceConfig, excise_near_residue, generate_surface,
                       read_cloud_tsv, surface_features)
 
@@ -38,7 +39,7 @@ class MaskingPolicy:
     mask_rate: float = 0.80
     random_rate: float = 0.10
     keep_rate: float = 0.10
-    excise_m: int = 20
+    excise_m: int = DEFAULT_EXCISE_M
 
     def __post_init__(self):
         if abs(self.mask_rate + self.random_rate + self.keep_rate - 1.0) > 1e-9:
@@ -294,16 +295,6 @@ def pretrain_step(model: FitnessModel, batch: list, optimizer,
     return total_loss, hits / max(count, 1)
 
 
-def _write_loss_log(path, history, header_lines=()):
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "step", "loss", "masked_acc"])
-        for row in history:
-            writer.writerow(row)
-
-
 def save_train_state(path, model: FitnessModel, optimizer, rng,
                      next_epoch: int):
     """Exact-resume sidecar: float64 params, optimizer moments, RNG state."""
@@ -343,7 +334,9 @@ def load_train_state(path):
         rng = np.random.default_rng()
         rng.bit_generator.state = meta["rng"]
     except (OSError, EOFError, ValueError, TypeError, KeyError,
-            zipfile.BadZipFile) as exc:
+            NotImplementedError, RuntimeError, zipfile.BadZipFile) as exc:
+        # zipfile raises NotImplementedError for an unknown compression
+        # method and RuntimeError for an entry flagged as encrypted
         raise DataError(f"{path}: unreadable resume state ({exc!r})") from None
     groups = {"p": {}, "m": {}, "v": {}}
     for key, arr in arrays.items():
@@ -418,5 +411,6 @@ def pretrain(corpus_dir, model_cfg: ModelConfig, train_cfg: TrainConfig,
     if out_dir is not None:
         save_train_state(out_dir / "checkpoint.state.npz", model, optimizer,
                          rng, train_cfg.epochs)
-        _write_loss_log(out_dir / "loss_log.csv", history, header_lines)
+        write_csv(out_dir / "loss_log.csv", ["epoch", "step", "loss", "masked_acc"],
+                  history, header_lines)
     return model, history

@@ -227,6 +227,18 @@ def test_score_ensemble_column_matches_oracle(workspace, trained, tmp_path):
     assert np.abs(ens - (za + zb)).max() < 1e-10
 
 
+def test_score_non_finite_external_exits_2(workspace, trained, tmp_path):
+    root, _, variants = workspace
+    ext = tmp_path / "external.csv"
+    _write_scores(ext, [("WT", 0.0)] + [(v, 1.0 + i) for i, v in enumerate(variants)])
+    ext.write_text(ext.read_text().replace(",2.0\n", ",inf\n"))
+    proc = run_cli("score", trained, root / "corpus" / "motif000.tsv",
+                   root / "assay.csv", "--out", tmp_path / "s.csv",
+                   "--external", ext, *SURFACE_FLAGS)
+    assert proc.returncode == 2, proc.stderr
+    assert "non-finite score inf" in proc.stderr
+
+
 def test_score_truncated_checkpoint_exits_2(workspace, trained, tmp_path):
     root, _, _ = workspace
     cut = tmp_path / "cut.s3fc"

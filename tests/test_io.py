@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protfit import gvp, metrics, scoring, surface, training
 from protfit.errors import DataError
 from protfit.io import (AssayVariant, MutationSet, Protein, ResidueEmbeddings,
                         RESIDUE_TYPES, format_mutation, load_assay,
-                        load_embeddings, load_external_scores, mask_context_tag,
-                        parse_mutation, parse_structure, save_embeddings,
-                        serialize_structure)
+                        load_embeddings, load_external_scores, load_structure,
+                        mask_context_tag, parse_mutation, parse_structure,
+                        read_csv, save_embeddings, serialize_structure,
+                        write_csv)
 
 PDB_CA_LINE = ("ATOM      2  CA  ALA A   1       0.000   0.000   0.000"
                "  1.00 95.00           C")
@@ -287,3 +289,132 @@ def test_external_scores_matches_naive(tmp_path, rng):
     for k, v in rows:
         naive[k] = v
     assert load_external_scores(path) == naive
+
+
+def test_external_scores_ignore_extra_columns(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("# header\nmutant,score,provenance\nA24G,0.5,model\n")
+    assert load_external_scores(path) == {"A24G": 0.5}
+    assert scoring.read_scores_csv is load_external_scores
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999"])
+def test_external_scores_reject_non_finite(tmp_path, value):
+    path = tmp_path / "x.csv"
+    path.write_text(f"mutant,score\nA24G,0.5\nC2D,{value}\n")
+    with pytest.raises(DataError, match="row 3: non-finite score"):
+        load_external_scores(path)
+
+
+def test_assay_row_missing_mutant_cell(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("DMS_score,mutant\n1.0,A1G\n2.0\n")
+    with pytest.raises(DataError, match="row 3: 1 cells, header has 2"):
+        load_assay(path)
+
+
+# ---------------------------------------------------------------------------
+# text-table core
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, reader", [
+    ("s.tsv", load_structure), ("s.pdb", load_structure),
+    ("a.csv", load_assay), ("x.csv", load_external_scores)])
+def test_text_readers_reject_non_utf8(tmp_path, name, reader):
+    path = tmp_path / name
+    path.write_bytes(b"mutant,score\nA1G,0.5\xff\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        reader(path)
+
+
+def test_parse_structure_bytes_must_be_utf8():
+    with pytest.raises(DataError, match="not UTF-8"):
+        parse_structure(PDB_CA_LINE.encode() + b"\xc3\n", "pdb-min")
+
+
+def test_read_csv_keeps_line_ends_and_skips_comments(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b'# c\r\na,b\r\n"x\r\ny",2\r\n\r\n#c,3\r\n3,4,5\r\n')
+    header, rows = read_csv(path)
+    assert header == ["a", "b"]
+    assert rows == [{"a": "x\r\ny", "b": "2"}, {"a": "3", "b": "4"}]
+
+
+def test_write_csv_layout(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["mutant", "score"], [["A1G", "0.5"], ["a,b", 2]],
+              ["config_hash=x", "y"])
+    assert path.read_bytes() == (b"# config_hash=x\n# y\nmutant,score\r\n"
+                                 b"A1G,0.5\r\n\"a,b\",2\r\n")
+
+
+# ---------------------------------------------------------------------------
+# every reader: malformed bytes yield DataError, never another exception
+# ---------------------------------------------------------------------------
+
+READERS = {"s.tsv": load_structure, "s.pdb": load_structure,
+           "a.csv": load_assay, "sc.csv": load_external_scores,
+           "c.tsv": surface.read_cloud_tsv, "r.csv": metrics.read_report_csv,
+           "e.s3fe": load_embeddings, "m.s3fc": gvp.load_checkpoint,
+           "m.state.npz": training.load_train_state}
+
+
+@pytest.fixture(scope="module")
+def sample_dir(tmp_path_factory):
+    """One valid file for each reader in READERS, named by its key."""
+    root = tmp_path_factory.mktemp("samples")
+    rng = np.random.default_rng(0)
+    protein = Protein("p", rng.integers(0, 20, 6),
+                      np.cumsum(2.0 * rng.standard_normal((6, 3)), axis=0),
+                      plddt=np.linspace(50.0, 99.0, 6))
+    (root / "s.tsv").write_text(serialize_structure(protein))
+    (root / "s.pdb").write_text("".join(
+        f"ATOM  {i + 1:5d}  CA  {res} A{i + 1:4d}    {x:8.3f}{y:8.3f}{z:8.3f}"
+        f"  1.00{b:6.2f}           C\n"
+        for i, (res, (x, y, z), b) in enumerate(zip(
+            ["ALA", "GLY", "TRP"], protein.ca_coords, [90.0, 45.5, 70.0])))
+        + "END\n")
+    (root / "a.csv").write_text("# c\nmutant,DMS_score,DMS_score_bin\n"
+                                "A1G,1.0,1\nC2D:E3F,-2.5,0\nWT,0.0,0\n")
+    scoring.write_scores_csv(
+        root / "sc.csv", [scoring.VariantScore("A1G", 0.125, ("model",)),
+                          scoring.VariantScore("C2D", -1.5, ("baseline",))],
+        header_lines=["config_hash=x"], ensembled=[1.0, -1.0])
+    cloud = surface.SurfacePointCloud(points=rng.standard_normal((4, 3)),
+                                      normals=rng.standard_normal((4, 3)),
+                                      features=rng.standard_normal((4, 2)))
+    surface.write_cloud_tsv(cloud, root / "c.tsv", header_lines=["h"])
+    metrics.emit_report(
+        root / "r.csv", [metrics.AssayResult("a", 10, 0.4, 0.6, 0.1, 0.8, 0.2)],
+        groups={"1": {"spearman": 0.3, "auc": 0.5, "mcc": 0.0, "ndcg": 0.7,
+                      "recall10": 0.1, "n_variants": 12}},
+        significance={"spearman_diff_stderr": 0.0123}, header_lines=["h"])
+    save_embeddings(root / "e.s3fe", rng.standard_normal((3, 2)), "masked:1,2")
+    model = gvp.FitnessModel(gvp.ModelConfig(
+        mode="s2f", scalar_dim=2, vector_dim=1, structure_layers=1,
+        embed_dim=2, rbf_kernels=2))
+    gvp.save_checkpoint(model, root / "m.s3fc")
+    optimizer = training.make_optimizer(model, training.TrainConfig(mode="s2f"))
+    training.save_train_state(root / "m.state.npz", model, optimizer,
+                              np.random.default_rng(0), 1)
+    for name, reader in READERS.items():
+        reader(root / name)   # every sample reads cleanly before mutation
+    return root
+
+
+@pytest.mark.parametrize("name", READERS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(flips=st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(1, 255)),
+                      min_size=1, max_size=3))
+def test_reader_mutated_bytes_data_error_only(sample_dir, name, flips):
+    """Flip 1-3 bytes of a valid file: the reader returns a value or raises
+    DataError; any other exception fails the test."""
+    blob = bytearray((sample_dir / name).read_bytes())
+    for at, mask in flips:
+        blob[at % len(blob)] ^= mask
+    mutated = sample_dir / ("mutated_" + name)
+    mutated.write_bytes(bytes(blob))
+    try:
+        READERS[name](mutated)
+    except DataError:
+        pass

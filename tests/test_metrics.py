@@ -320,3 +320,34 @@ def test_report_csv_json_round_trip(tmp_path):
     assert parsed["groups"]["1"]["ndcg"] == pytest.approx(0.7)
     assert parsed["significance"]["spearman_diff_stderr"] == pytest.approx(0.0123)
     assert csv_path.read_text().startswith("# config_hash=h")
+
+
+def test_report_csv_skips_blank_rows(tmp_path):
+    path = tmp_path / "r.csv"
+    emit_report(path, [AssayResult("a", 10, 0.4, 0.6, 0.1, 0.8, 0.2)],
+                significance={"n_boot": 10})
+    lines = path.read_text().splitlines(keepends=True)
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("\n".join(lines) + "\n")
+    assert read_report_csv(spaced) == read_report_csv(path)
+
+
+@pytest.mark.parametrize("row", [
+    ",", "a", "a,1", "a,x,0.1,0.2,0.3,0.4,0.5", "a,1,0.1,0.2,0.3,0.4",
+    "a,1,0.1,0.2,0.3,0.4,0.5,0.6", "a,1,0.1,0.2,0.3,0.4,zz",
+    "SIGNIFICANCE:n_boot", "SIGNIFICANCE:n_boot,1,2", "SIGNIFICANCE:x,y"])
+def test_report_csv_garbage_row_is_data_error(tmp_path, row):
+    path = tmp_path / "r.csv"
+    path.write_text("assay_id,n_variants,spearman,auc,mcc,ndcg,recall10\n"
+                    f"b,2,0.1,0.2,0.3,0.4,0.5\n{row}\n")
+    with pytest.raises(DataError, match="malformed report row"):
+        read_report_csv(path)
+
+
+@pytest.mark.parametrize("body", [b"", b"# only\n", b"assay_id\n",
+                                  b"assay_id,n_variants\xff\n"])
+def test_report_csv_bad_header_or_encoding(tmp_path, body):
+    path = tmp_path / "r.csv"
+    path.write_bytes(body)
+    with pytest.raises(DataError):
+        read_report_csv(path)

@@ -314,3 +314,34 @@ def test_cloud_dump_text_matches_per_value_repr(tmp_path, rng, with_features):
     path = tmp_path / "cloud.tsv"
     write_cloud_tsv(cloud, path, header_lines=["seed=1"])
     assert path.read_text() == _per_value_text(cloud, header_lines=["seed=1"])
+
+
+def test_cloud_dump_reads_extreme_values_bit_exactly(tmp_path, rng):
+    tiny = np.nextafter(0.0, 1.0)
+    points = rng.standard_normal((6000, 3))
+    points[:4] = [[-0.0, tiny, np.finfo(float).max],
+                  [-np.finfo(float).max, -tiny, 1e-310],
+                  [0.1, 1 / 3, -2.5e-308], [1e300, -1e-300, 0.0]]
+    cloud = SurfacePointCloud(points=points, normals=rng.standard_normal((6000, 3)))
+    path = tmp_path / "cloud.tsv"
+    write_cloud_tsv(cloud, path)
+    again = read_cloud_tsv(path)
+    assert again.points.tobytes() == cloud.points.tobytes()
+    assert again.normals.tobytes() == cloud.normals.tobytes()
+    assert again.features is None
+
+
+@pytest.mark.parametrize("body", [
+    b"1\t2\t3\t4\t5\t6\n1\t2\t3\n",           # ragged row
+    b"1\t2\t3\t4\t5\t6\n1\t2\t3\t4\t5\tx\n",  # non-numeric cell
+    b"1\t2\t3\t4\t5\tnan\n",
+    b"1\t2\t3\t4\t5\t6\t-inf\n",
+    b"1\t2\t3\t4\t5\n",                        # too few columns
+    b"# only a comment\n\n",                   # empty dump
+    b"1\t2\t3\t4\t5\t6\xff\n",                 # not UTF-8
+])
+def test_malformed_cloud_dump_is_data_error(tmp_path, body):
+    path = tmp_path / "cloud.tsv"
+    path.write_bytes(body)
+    with pytest.raises(DataError):
+        read_cloud_tsv(path)

@@ -255,6 +255,20 @@ def test_train_state_cut_at_any_byte_is_data_error(tmp_path):
             load_train_state(cut)
 
 
+@pytest.mark.parametrize("offset, value", [
+    (10, 99),   # compression method zipfile does not implement
+    (8, 1),     # general-purpose flag: entry is encrypted
+])
+def test_train_state_bad_zip_entry_is_data_error(tmp_path, offset, value):
+    path = tmp_path / "s.state.npz"
+    _tiny_train_state(path)
+    blob = bytearray(path.read_bytes())
+    blob[blob.index(b"PK\x01\x02") + offset] = value   # first central entry
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="unreadable resume state"):
+        load_train_state(path)
+
+
 def test_train_state_needs_every_parameter(tmp_path):
     path = tmp_path / "s.state.npz"
     model = _tiny_train_state(path)
