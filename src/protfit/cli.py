@@ -143,7 +143,7 @@ def _resolve(args, defaults: dict) -> dict:
             raise UsageError(f"config file not found: {path}")
         try:
             overlay = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"bad config file {path}: {exc}")
         for key, value in overlay.items():
             if key not in resolved:
@@ -283,12 +283,7 @@ def cmd_score(args) -> int:
             raise UsageError("file-mode checkpoints need --embeddings DIR")
         provider = _dir_embeddings_provider(args.embeddings, protein)
     baseline = load_external_scores(args.baseline) if args.baseline else None
-    scores = score_assay(
-        model, protein, assay, base_cloud=base_cloud,
-        embeddings_provider=provider, baseline=baseline,
-        plddt_threshold=resolved["plddt_threshold"],
-        per_site_gating=resolved["per_site_gating"], mode=mode)
-    ensembled = None
+    external = None
     if args.external:
         external = load_external_scores(args.external)
         missing = [v.mutant for v in assay.variants if v.mutant not in external]
@@ -296,6 +291,13 @@ def cmd_score(args) -> int:
             raise DataError(
                 f"external scores missing {len(missing)} variants "
                 f"(first: {missing[0]!r})")
+    scores = score_assay(
+        model, protein, assay, base_cloud=base_cloud,
+        embeddings_provider=provider, baseline=baseline,
+        plddt_threshold=resolved["plddt_threshold"],
+        per_site_gating=resolved["per_site_gating"], mode=mode)
+    ensembled = None
+    if external is not None:
         ensembled = ensemble_zscores(
             [vs.score for vs in scores],
             [external[v.mutant] for v in assay.variants])

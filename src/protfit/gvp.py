@@ -10,6 +10,12 @@ and are folded back into residue states as the mean over each residue's
 nearest surface points. A linear head on final scalars yields 20-way
 residue-type log probabilities.
 
+Only the masked residues' rows are ever needed, so each stack runs on
+their receptive field alone: ``receptive_sets`` walks the graph back
+from the wanted rows, one in-neighbor hop per layer, and
+``run_message_passing`` computes at each layer only the rows the next
+layer reads, on the true edges of those rows.
+
 Residue embeddings come either from S3FE files (frozen upstream model)
 or from a small trainable embedder: a 21-row type table (row 20 is the
 mask token) averaged over a +-2 sequence window.
@@ -145,26 +151,65 @@ def _rescale_vector(v: Tensor) -> Tensor:
     return v * (np.sqrt(n_channels) / ad.sqrt(fro2 + 1e-8))
 
 
+def receptive_sets(graph: SpatialGraph, out_nodes, n_layers: int) -> list:
+    """Sorted node sets S_0 ⊇ … ⊇ S_L = out_nodes (deduplicated), L =
+    ``n_layers``: the rows of S_{l+1} after message-passing block l depend
+    only on the rows of S_l before it, where S_l is S_{l+1} plus every
+    in-neighbor of S_{l+1} (the k-hop computation subgraph of GraphSAGE,
+    Hamilton et al., arXiv:1706.02216)."""
+    out = np.unique(np.asarray(out_nodes, dtype=np.int64))
+    if len(out) and (out[0] < 0 or out[-1] >= graph.n_nodes):
+        raise DataError("output node out of range")
+    need = np.zeros(graph.n_nodes, dtype=bool)
+    need[out] = True
+    sets = [out]
+    for _ in range(n_layers):
+        need[graph.src[need[graph.dst]]] = True
+        sets.insert(0, np.flatnonzero(need))
+    return sets
+
+
 def run_message_passing(blocks, graph: SpatialGraph, state: GvpState,
-                        normalize: bool = True) -> GvpState:
+                        normalize: bool = True, node_sets=None) -> GvpState:
     """Residual message passing: per block, add the mean GVP message over
     in-neighbors (edge features concatenated onto the neighbor state), then
     add a feedforward GVP of the node state. Nodes without neighbors
-    receive a zero message."""
+    receive a zero message.
+
+    ``node_sets`` (one more than ``blocks``, as from ``receptive_sets``)
+    limits the work to the rows that are wanted: ``state`` holds the rows
+    of node_sets[0], and block l maps the rows of node_sets[l] to those of
+    node_sets[l + 1], running the message GVP only on the edges into
+    node_sets[l + 1] (still in (dst, src) order) and dividing by the true
+    in-degree. Layer norm and vector rescale act per row, so each kept row
+    gets the same arithmetic as on the whole graph. None means every node
+    at every layer."""
+    if node_sets is None:
+        node_sets = [np.arange(graph.n_nodes)] * (len(blocks) + 1)
+    if len(node_sets) != len(blocks) + 1:
+        raise DataError(f"{len(blocks)} blocks need {len(blocks) + 1} node sets, "
+                        f"got {len(node_sets)}")
     scalar, vector = state.scalar, state.vector
-    n = graph.n_nodes
-    has_edges = graph.n_edges > 0
-    if has_edges:
-        edge_s = Tensor(graph.edge_scalar)
-        edge_v = Tensor(graph.edge_vec[:, None, :])
-        inv_deg = 1.0 / np.maximum(graph.in_degree(), 1)
-    for block in blocks:
-        if has_edges:
-            msg_s_in = [ad.gather(scalar, graph.src), edge_s]
-            msg_v_in = [ad.gather(vector, graph.src), edge_v]
-            msg_s, msg_v = gvp_apply(block.message, msg_s_in, msg_v_in)
-            scalar = scalar + ad.segment_sum(msg_s, graph.dst, n) * inv_deg[:, None]
-            vector = vector + ad.segment_sum(msg_v, graph.dst, n) * inv_deg[:, None, None]
+    for block, rows_in, rows_out in zip(blocks, node_sets, node_sets[1:]):
+        n_out = len(rows_out)
+        into = np.zeros(graph.n_nodes, dtype=bool)
+        into[rows_out] = True
+        edges = np.flatnonzero(into[graph.dst])
+        kept_s, kept_v = scalar, vector
+        if n_out < len(rows_in):
+            keep = np.searchsorted(rows_in, rows_out)
+            kept_s, kept_v = ad.gather(scalar, keep), ad.gather(vector, keep)
+        if len(edges):
+            src = np.searchsorted(rows_in, graph.src[edges])
+            dst = np.searchsorted(rows_out, graph.dst[edges])
+            inv_deg = 1.0 / np.maximum(np.bincount(dst, minlength=n_out), 1)
+            msg_s, msg_v = gvp_apply(
+                block.message,
+                [ad.gather(scalar, src), Tensor(graph.edge_scalar[edges])],
+                [ad.gather(vector, src), Tensor(graph.edge_vec[edges, None, :])])
+            kept_s = kept_s + ad.segment_sum(msg_s, dst, n_out) * inv_deg[:, None]
+            kept_v = kept_v + ad.segment_sum(msg_v, dst, n_out) * inv_deg[:, None, None]
+        scalar, vector = kept_s, kept_v
         ff_s, ff_v = gvp_apply(block.feedforward, scalar, vector)
         scalar = scalar + ff_s
         vector = vector + ff_v
@@ -388,29 +433,42 @@ class FitnessModel:
                        structure_graph: SpatialGraph = None,
                        allow_unmasked_embeddings: bool = False) -> Tensor:
         """Log-softmax rows over the 20 residue types at the masked positions
-        (sorted ascending)."""
+        (sorted ascending).
+
+        Only the masked rows are computed. Both GVP stacks run on the
+        receptive field of those rows (``receptive_sets``): the structure
+        stack on the masked residues' L-hop radius-graph neighbourhood, and
+        the surface stack on the L-hop kNN neighbourhood of the surface
+        points fused into the masked residues, with ``surface_init`` and its
+        residue lookup on the widest of those point sets only. The rows
+        equal those of a whole-graph pass up to rounding, and training
+        takes the same path."""
         cfg = self.config
         mode = mode or cfg.mode
         self._check_mode(mode)
         masked = np.asarray(sorted(set(int(p) for p in masked_positions)),
                             dtype=np.int64)
-        if len(masked) and (masked[0] < 0 or masked[-1] >= protein.n_residues):
+        n_r = protein.n_residues
+        if len(masked) and (masked[0] < 0 or masked[-1] >= n_r):
             raise DataError("masked position out of range")
         h0_scalar = self.embed(protein, masked, corruption=corruption,
                                embeddings=embeddings,
                                allow_unmasked_embeddings=allow_unmasked_embeddings)
-        n_r = protein.n_residues
-        state0 = GvpState(scalar=h0_scalar,
-                          vector=Tensor(np.zeros((n_r, cfg.vector_dim, 3))))
         if mode in ("s2f", "s3f"):
             graph = structure_graph
             if graph is None:
                 graph = build_radius_graph(protein.ca_coords, cfg.radius_cutoff,
                                            rbf=cfg.rbf)
+            sets = receptive_sets(graph, masked, len(self.structure_blocks))
+            state0 = GvpState(
+                scalar=ad.gather(h0_scalar, sets[0]),
+                vector=Tensor(np.zeros((len(sets[0]), cfg.vector_dim, 3))))
             h_res = run_message_passing(self.structure_blocks, graph, state0,
-                                        normalize=cfg.normalize)
+                                        cfg.normalize, sets)
         else:
-            h_res = state0
+            h_res = GvpState(
+                scalar=ad.gather(h0_scalar, masked),
+                vector=Tensor(np.zeros((len(masked), cfg.vector_dim, 3))))
         if mode in ("s3f", "surf_only"):
             if cloud is None or cloud.n_points == 0:
                 raise DataError(f"mode {mode!r} requires a surface cloud")
@@ -423,20 +481,22 @@ class FitnessModel:
             if n_r < cfg.init_neighbors:
                 raise DataError(
                     f"surface init needs >= {cfg.init_neighbors} residues")
-            nn_idx, nn_dist = cross_knn(cloud.points, protein.ca_coords,
+            k_fuse = min(cfg.fuse_neighbors, cloud.n_points)
+            fuse_idx, _ = cross_knn(protein.ca_coords[masked], cloud.points, k_fuse)
+            sgraph = build_knn_graph(cloud.points, cfg.surface_knn, rbf=cfg.rbf)
+            sets = receptive_sets(sgraph, fuse_idx.reshape(-1),
+                                  len(self.surface_blocks))
+            nn_idx, nn_dist = cross_knn(cloud.points[sets[0]], protein.ca_coords,
                                         cfg.init_neighbors)
             h_surf0 = surface_init(self.params, h0_scalar,
-                                   cloud.features, nn_idx, nn_dist,
+                                   cloud.features[sets[0]], nn_idx, nn_dist,
                                    cfg.vector_dim)
-            sgraph = build_knn_graph(cloud.points, cfg.surface_knn, rbf=cfg.rbf)
             h_surf = run_message_passing(self.surface_blocks, sgraph, h_surf0,
-                                         normalize=cfg.normalize)
-            k_fuse = min(cfg.fuse_neighbors, cloud.n_points)
-            fuse_idx, _ = cross_knn(protein.ca_coords, cloud.points, k_fuse)
-            h_res = fuse_residue_surface(h_res, h_surf, fuse_idx,
+                                         cfg.normalize, sets)
+            h_res = fuse_residue_surface(h_res, h_surf,
+                                         np.searchsorted(sets[-1], fuse_idx),
                                          scalar_only=cfg.fuse_scalar_only)
-        rows = ad.gather(h_res.scalar, masked)
-        logits = ad.linear_split([rows], self.params["head.w"],
+        logits = ad.linear_split([h_res.scalar], self.params["head.w"],
                                  self.params["head.b"])
         return ad.log_softmax(logits)
 

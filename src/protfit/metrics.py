@@ -133,10 +133,16 @@ def top_fraction_recall(scores, gains, frac: float = 0.10) -> float:
     return len(top_score & top_gain) / k
 
 
+_BOOT_BLOCK = 512
+
+
 def bootstrap_diff_stderr(metric_a, metric_b, n_boot: int = 10000,
                           seed: int = 0) -> float:
     """Std of the resampled difference of per-assay metric means: resample
-    assay indices with replacement, take mean(a) - mean(b) per resample."""
+    assay indices with replacement, take mean(a) - mean(b) per resample.
+    The indices come from one draw; the means are taken ``_BOOT_BLOCK``
+    resamples at a time, so no float array of the whole (n_boot, n) shape
+    is built."""
     a = _as_vector(metric_a, "metric_a")
     b = _as_vector(metric_b, "metric_b")
     if len(a) != len(b):
@@ -145,7 +151,10 @@ def bootstrap_diff_stderr(metric_a, metric_b, n_boot: int = 10000,
         raise DataError("need at least 2 assays")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(a), size=(n_boot, len(a)))
-    diffs = a[idx].mean(axis=1) - b[idx].mean(axis=1)
+    diffs = np.empty(n_boot)
+    for start in range(0, n_boot, _BOOT_BLOCK):
+        block = idx[start:start + _BOOT_BLOCK]
+        diffs[start:start + _BOOT_BLOCK] = a[block].mean(axis=1) - b[block].mean(axis=1)
     return float(diffs.std())
 
 

@@ -8,9 +8,14 @@ to right. That pass depends only on the masked position set (and, for
 file-mode models, on the embedding rows the provider returns), so
 ``score_assay`` runs it once per distinct set and reuses its rows for
 every variant on the set: the 19 substitutions at one site of a
-saturation assay share one pass. Scoring never calls ``backward``, so
-passes run under ``autodiff.no_grad`` and build no tape. Non-finite
-log-probabilities raise NumericsError when the pass returns them.
+saturation assay share one pass. Each pass computes only the masked rows,
+running both GVP stacks on their receptive field (see
+``FitnessModel.forward_logits``): its message passing grows with the
+sites' neighbourhoods, not with the protein and its cloud, though the
+surface kNN graph is still built over the whole excised cloud. Scoring
+never calls ``backward``, so passes run under ``autodiff.no_grad`` and
+build no tape. Non-finite log-probabilities raise NumericsError when the
+pass returns them.
 
 Sites on low-confidence residues (pLDDT below the threshold) fall back
 to an ingested baseline scorer; by default a variant touching any

@@ -239,6 +239,44 @@ def test_score_non_finite_external_exits_2(workspace, trained, tmp_path):
     assert "non-finite score inf" in proc.stderr
 
 
+@pytest.mark.parametrize("bad", ["missing", "inf"])
+def test_score_bad_external_exits_2_before_scoring(workspace, trained, tmp_path,
+                                                   monkeypatch, capsys, bad):
+    from protfit import cli, scoring
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("score_assay ran before --external was checked")
+
+    monkeypatch.setattr(scoring, "score_assay", no_scoring)
+    root, _, variants = workspace
+    pairs = [("WT", 0.0)] + [(v, 1.0 + i) for i, v in enumerate(variants)]
+    if bad == "missing":
+        pairs = pairs[:-1]
+    ext = tmp_path / "external.csv"
+    _write_scores(ext, pairs)
+    if bad == "inf":
+        ext.write_text(ext.read_text().replace(",2.0\n", ",inf\n"))
+    out = tmp_path / "s.csv"
+    code = cli.main(["score", str(trained), str(root / "corpus" / "motif000.tsv"),
+                     str(root / "assay.csv"), "--out", str(out),
+                     "--external", str(ext), *SURFACE_FLAGS])
+    assert code == 2
+    assert ("external scores missing 1 variants" if bad == "missing"
+            else "non-finite score inf") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_not_utf8_is_usage_error(workspace, tmp_path):
+    root, _, _ = workspace
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_bytes(b'{"seed": 1}\xff')
+    proc = run_cli("surface", root / "corpus" / "motif000.tsv",
+                   "--out", tmp_path / "c.tsv", "--config", cfg_file)
+    assert proc.returncode == 1, proc.stderr
+    assert "bad config file" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_score_truncated_checkpoint_exits_2(workspace, trained, tmp_path):
     root, _, _ = workspace
     cut = tmp_path / "cut.s3fc"

@@ -7,10 +7,12 @@ from conftest import make_coil_protein, random_rotation
 from protfit import autodiff as ad
 from protfit.autodiff import Parameter, Tensor
 from protfit.errors import DataError
-from protfit.geometry import RbfConfig, build_radius_graph, cross_knn, rbf_expand
+from protfit.geometry import (RbfConfig, build_knn_graph, build_radius_graph,
+                              cross_knn, rbf_expand)
 from protfit.gvp import (Corruption, FitnessModel, GvpParams, GvpState,
-                         ModelConfig, MODES, fuse_residue_surface, gvp_apply,
-                         load_checkpoint, run_message_passing, save_checkpoint,
+                         ModelConfig, MODES, _layer_norm_scalar, _rescale_vector,
+                         fuse_residue_surface, gvp_apply, load_checkpoint,
+                         receptive_sets, run_message_passing, save_checkpoint,
                          surface_init)
 from protfit.io import ResidueEmbeddings, mask_context_tag
 from protfit.surface import SurfaceConfig, SurfacePointCloud, generate_surface, surface_features
@@ -444,6 +446,210 @@ def test_backward_loss_examples(rng):
 
     with pytest.raises(DataError):
         model2.loss(rows, [])
+
+
+# ---------------------------------------------------------------------------
+# receptive-field passes
+# ---------------------------------------------------------------------------
+
+def _full_message_passing(blocks, graph, state, normalize):
+    """Whole-graph message passing as it ran before receptive sets: every
+    block on every node and every edge."""
+    scalar, vector = state.scalar, state.vector
+    n = graph.n_nodes
+    if graph.n_edges:
+        edge_s = Tensor(graph.edge_scalar)
+        edge_v = Tensor(graph.edge_vec[:, None, :])
+        inv_deg = 1.0 / np.maximum(graph.in_degree(), 1)
+    for block in blocks:
+        if graph.n_edges:
+            msg_s, msg_v = gvp_apply(block.message,
+                                     [ad.gather(scalar, graph.src), edge_s],
+                                     [ad.gather(vector, graph.src), edge_v])
+            scalar = scalar + ad.segment_sum(msg_s, graph.dst, n) * inv_deg[:, None]
+            vector = vector + ad.segment_sum(msg_v, graph.dst, n) * inv_deg[:, None, None]
+        ff_s, ff_v = gvp_apply(block.feedforward, scalar, vector)
+        scalar = scalar + ff_s
+        vector = vector + ff_v
+        if normalize:
+            scalar = _layer_norm_scalar(scalar)
+            vector = _rescale_vector(vector)
+    return GvpState(scalar=scalar, vector=vector)
+
+
+def _full_forward(model, protein, masked, mode, cloud):
+    """Whole-graph forward as it ran before receptive sets: both stacks on
+    every residue and every surface point, masked rows taken at the end."""
+    cfg = model.config
+    masked = np.asarray(sorted(set(masked)), dtype=np.int64)
+    h0 = model.embed(protein, masked)
+    state0 = GvpState(scalar=h0, vector=Tensor(
+        np.zeros((protein.n_residues, cfg.vector_dim, 3))))
+    h_res = state0
+    if mode in ("s2f", "s3f"):
+        graph = build_radius_graph(protein.ca_coords, cfg.radius_cutoff, rbf=cfg.rbf)
+        h_res = _full_message_passing(model.structure_blocks, graph, state0,
+                                      cfg.normalize)
+    if mode in ("s3f", "surf_only"):
+        nn_idx, nn_dist = cross_knn(cloud.points, protein.ca_coords,
+                                    cfg.init_neighbors)
+        h_surf0 = surface_init(model.params, h0, cloud.features, nn_idx, nn_dist,
+                               cfg.vector_dim)
+        sgraph = build_knn_graph(cloud.points, cfg.surface_knn, rbf=cfg.rbf)
+        h_surf = _full_message_passing(model.surface_blocks, sgraph, h_surf0,
+                                       cfg.normalize)
+        fuse_idx, _ = cross_knn(protein.ca_coords, cloud.points,
+                                min(cfg.fuse_neighbors, cloud.n_points))
+        h_res = fuse_residue_surface(h_res, h_surf, fuse_idx,
+                                     scalar_only=cfg.fuse_scalar_only)
+    rows = ad.gather(h_res.scalar, masked)
+    return ad.log_softmax(ad.linear_split([rows], model.params["head.w"],
+                                          model.params["head.b"]))
+
+
+def _bfs_sets(n_nodes, src, dst, out_nodes, n_layers):
+    """Receptive sets by a plain walk over the edge list."""
+    sets = [sorted(set(int(v) for v in out_nodes))]
+    for _ in range(n_layers):
+        wanted = set(sets[0])
+        grown = set(wanted)
+        for s, d in zip(src.tolist(), dst.tolist()):
+            if d in wanted:
+                grown.add(s)
+        sets.insert(0, sorted(grown))
+    return sets
+
+
+def _graph_with_isolated_nodes(seed):
+    """A radius graph over clustered points plus far-away points with no
+    edges at all."""
+    rng = np.random.default_rng(seed)
+    coords = np.concatenate([rng.uniform(0, 12, (30, 3)),
+                             1000.0 * np.arange(1, 5)[:, None] * np.ones((1, 3))])
+    coords = coords[rng.permutation(len(coords))]
+    return build_radius_graph(coords, 4.0, rbf=RbfConfig(n_kernels=4))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_receptive_sets_match_bfs(seed):
+    graph = _graph_with_isolated_nodes(seed)
+    isolated = np.flatnonzero(np.bincount(np.concatenate([graph.src, graph.dst]),
+                                          minlength=graph.n_nodes) == 0)
+    assert len(isolated) >= 4
+    rng = np.random.default_rng(seed)
+    outs = [[], [int(isolated[0])], rng.choice(graph.n_nodes, 3, replace=False),
+            np.concatenate([isolated[:2], rng.choice(graph.n_nodes, 5)])]
+    for out in outs:
+        for n_layers in (0, 1, 2, 5):
+            sets = receptive_sets(graph, out, n_layers)
+            expected = _bfs_sets(graph.n_nodes, graph.src, graph.dst, out, n_layers)
+            assert len(sets) == n_layers + 1
+            assert [s.tolist() for s in sets] == expected
+            assert all(s.dtype == np.int64 for s in sets)
+    with pytest.raises(DataError, match="out of range"):
+        receptive_sets(graph, [graph.n_nodes], 1)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_message_passing_on_node_sets_matches_full_rows(rng, normalize):
+    graph = _graph_with_isolated_nodes(7)
+    isolated = np.flatnonzero(graph.in_degree() == 0)
+    model = small_model()
+    state = _random_state(rng, graph.n_nodes, 10, 3)
+    full = _full_message_passing(model.structure_blocks, graph, state, normalize)
+    assert np.array_equal(
+        run_message_passing(model.structure_blocks, graph, state, normalize).scalar.data,
+        full.scalar.data)
+    for out in ([], [3], [0, 5, 6, int(isolated[0])]):
+        sets = receptive_sets(graph, out, len(model.structure_blocks))
+        part = GvpState(scalar=ad.gather(state.scalar, sets[0]),
+                        vector=ad.gather(state.vector, sets[0]))
+        got = run_message_passing(model.structure_blocks, graph, part, normalize, sets)
+        assert got.scalar.shape == (len(sets[-1]), 10)
+        assert np.abs(got.scalar.data - full.scalar.data[sets[-1]]).max(initial=0) < 1e-13
+        assert np.abs(got.vector.data - full.vector.data[sets[-1]]).max(initial=0) < 1e-13
+    with pytest.raises(DataError, match="node sets"):
+        run_message_passing(model.structure_blocks, graph, state, normalize,
+                            sets[1:])
+
+
+def _grads(model, log_probs, weights):
+    model.zero_grad()
+    ad.tsum(log_probs * Tensor(weights)).backward()
+    return {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
+            for name, p in model.params.items()}
+
+
+@pytest.fixture(scope="module")
+def rf_setup():
+    protein = make_coil_protein(40, seed=21)
+    return protein, make_cloud(protein, seed=3, n_max=300)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("masked", [[7], [3, 20, 36], [10, 11, 13],
+                                    [1, 8, 15, 22, 29, 36]])
+def test_forward_and_gradients_match_full_graph_oracle(rf_setup, mode, masked):
+    """Receptive-field passes give the whole-graph pass's log-probs and
+    every parameter gradient, up to rounding."""
+    protein, cloud = rf_setup
+    model = small_model(mode="s3f", seed=22, head_init=1.0)
+    weights = np.random.default_rng(len(masked)).standard_normal((len(masked), 20))
+    got = model.forward_logits(protein, masked, mode=mode, cloud=cloud)
+    want = _full_forward(model, protein, masked, mode, cloud)
+    assert got.shape == (len(masked), 20)
+    assert np.abs(got.data - want.data).max() < 1e-13
+    got_grads = _grads(model, got, weights)
+    want_grads = _grads(model, want, weights)
+    for name, g in want_grads.items():
+        scale = max(np.abs(g).max(), 1e-300)
+        assert np.abs(got_grads[name] - g).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_empty_masked_set_gives_no_rows(rf_setup, mode):
+    protein, cloud = rf_setup
+    model = small_model(mode="s3f", seed=22)
+    rows = model.forward_logits(protein, [], mode=mode, cloud=cloud)
+    assert rows.shape == (0, 20)
+    assert _full_forward(model, protein, [], mode, cloud).shape == (0, 20)
+
+
+def test_masked_pass_runs_on_receptive_field_only(monkeypatch):
+    """A 3-site pass on a 150-residue coil must run the last surface block on
+    the masked residues' fuse points only and start from fewer points than
+    the cloud, and the structure stack must start from fewer residues than
+    the protein."""
+    from protfit import gvp
+    protein = make_coil_protein(150, seed=3)
+    cfg = SurfaceConfig()
+    cloud = generate_surface(protein, cfg, seed=0)
+    cloud = cloud.with_features(surface_features(cloud, cfg))
+    model = small_model(mode="s3f", structure_layers=5, surface_layers=5)
+    calls = []
+    real = gvp.run_message_passing
+
+    def recording(blocks, graph, state, normalize=True, node_sets=None):
+        out = real(blocks, graph, state, normalize, node_sets)
+        calls.append((blocks, graph, node_sets, out))
+        return out
+
+    monkeypatch.setattr(gvp, "run_message_passing", recording)
+    masked = [20, 75, 130]
+    model.forward_logits(protein, masked, cloud=cloud)
+    (s_blocks, s_graph, s_sets, s_out), (f_blocks, f_graph, f_sets, f_out) = calls
+    assert s_blocks is model.structure_blocks and f_blocks is model.surface_blocks
+
+    assert s_sets[-1].tolist() == masked and s_out.scalar.shape[0] == 3
+    assert len(s_sets[0]) < protein.n_residues
+
+    fuse_idx, _ = cross_knn(protein.ca_coords[masked], cloud.points,
+                            model.config.fuse_neighbors)
+    fuse_points = np.unique(fuse_idx)
+    assert np.array_equal(f_sets[-1], fuse_points)
+    assert f_out.scalar.shape[0] == len(fuse_points)
+    assert f_graph.n_nodes == cloud.n_points
+    assert len(f_sets[0]) < cloud.n_points
 
 
 # ---------------------------------------------------------------------------

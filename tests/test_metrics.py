@@ -231,6 +231,24 @@ def test_bootstrap_matches_analytic_paired_oracle():
     assert abs(got - analytic) / analytic < 0.05
 
 
+def _one_shot_bootstrap(a, b, n_boot, seed):
+    """The whole-array formula: every resample's means in one (n_boot, n)
+    float array."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    idx = np.random.default_rng(seed).integers(0, len(a), size=(n_boot, len(a)))
+    return float((a[idx].mean(axis=1) - b[idx].mean(axis=1)).std())
+
+
+@pytest.mark.parametrize("n_boot", [1, 511, 512, 513, 10000])
+def test_bootstrap_blocks_equal_one_shot(n_boot):
+    rng = np.random.default_rng(n_boot)
+    for n in (2, 3, 5, 7, 16, 33, 100, 400):
+        for seed in range(3):
+            a, b = rng.standard_normal(n), rng.standard_normal(n)
+            assert bootstrap_diff_stderr(a, b, n_boot=n_boot, seed=seed) == \
+                _one_shot_bootstrap(a, b, n_boot, seed)
+
+
 # ---------------------------------------------------------------------------
 # monotone-transform invariance
 # ---------------------------------------------------------------------------
