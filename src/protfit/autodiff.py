@@ -4,10 +4,11 @@ Everything runs in float64. A Tensor records its parents and a backward
 closure; ``backward()`` topologically sorts the tape and accumulates
 gradients into ``.grad``. Inside ``no_grad()`` operations record neither,
 so inference builds no tape. Only the operations the network needs are
-implemented: elementwise arithmetic with broadcasting, 2-D matmul,
-vector-channel mixing, row gather/scatter, sorted-segment sums, reductions,
-and the usual nonlinearities. All reductions use fixed summation orders,
-so repeated runs are bit-identical.
+implemented: elementwise arithmetic with broadcasting, affine maps of
+split row blocks (``linear_split``, which also mixes vector channels),
+2-D transpose, reshape and concat, row gather/scatter, sorted-segment
+sums, reductions, and the usual nonlinearities. All reductions use fixed
+summation orders, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -150,9 +151,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Parameter(Tensor):
     __slots__ = ()
@@ -247,36 +245,6 @@ def div(a, b) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return _make(a.data @ b.data, (a, b), backward)
-
-
-def channel_mix(w, v) -> Tensor:
-    """Mix vector channels: (o, i) weights applied to (n, i, 3) vectors.
-
-    Each output 3-vector is a linear combination of input 3-vectors, which
-    keeps the operation rotation-equivariant.
-    """
-    w, v = as_tensor(w), as_tensor(v)
-
-    def backward(g):
-        if w.requires_grad:
-            w._accumulate(np.einsum("nox,nix->oi", g, v.data, optimize=True))
-        if v.requires_grad:
-            v._accumulate(np.einsum("oi,nox->nix", w.data, g, optimize=True))
-
-    return _make(np.einsum("oi,nix->nox", w.data, v.data, optimize=True),
-                 (w, v), backward)
-
-
 def linear_split(parts, w, b=None) -> Tensor:
     """Affine map of a conceptual concat without materializing it:
     sum_i parts[i] @ w[rows_i] (+ b), where w's rows are split by the
@@ -308,34 +276,6 @@ def linear_split(parts, w, b=None) -> Tensor:
     return _make(out, parents, backward)
 
 
-def channel_mix_split(w, parts) -> Tensor:
-    """channel_mix of a conceptual channel-axis concat of vector parts."""
-    parts = [as_tensor(p) for p in parts]
-    w = as_tensor(w)
-    widths = [p.data.shape[1] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-    out = np.einsum("oi,nix->nox", w.data[:, offsets[0]:offsets[1]],
-                    parts[0].data, optimize=True)
-    for i in range(1, len(parts)):
-        out += np.einsum("oi,nix->nox", w.data[:, offsets[i]:offsets[i + 1]],
-                         parts[i].data, optimize=True)
-
-    def backward(g):
-        if w.requires_grad:
-            gw = np.empty_like(w.data)
-            for i, p in enumerate(parts):
-                gw[:, offsets[i]:offsets[i + 1]] = np.einsum(
-                    "nox,nix->oi", g, p.data, optimize=True)
-            w._accumulate(gw)
-        for i, p in enumerate(parts):
-            if p.requires_grad:
-                p._accumulate(np.einsum(
-                    "oi,nox->nix", w.data[:, offsets[i]:offsets[i + 1]], g,
-                    optimize=True))
-
-    return _make(out, tuple(parts) + (w,), backward)
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------------
@@ -349,6 +289,17 @@ def reshape(x, shape) -> Tensor:
             x._accumulate(g.reshape(old))
 
     return _make(x.data.reshape(shape), (x,), backward)
+
+
+def transpose(x) -> Tensor:
+    """Transpose of a 2-D tensor (a view; no copy)."""
+    x = as_tensor(x)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g.T)
+
+    return _make(x.data.T, (x,), backward)
 
 
 def concat(parts, axis: int = 0) -> Tensor:
@@ -513,5 +464,5 @@ def log_softmax(x) -> Tensor:
 
 
 def vec_norm(v, eps: float = 1e-8) -> Tensor:
-    """Per-channel Euclidean norms of (n, c, 3) vectors: sqrt(sum + eps)."""
-    return sqrt(add(tsum(mul(v, v), axis=2), eps))
+    """Per-channel Euclidean norms of (n, 3, c) vectors: sqrt(sum + eps)."""
+    return sqrt(add(tsum(mul(v, v), axis=1), eps))

@@ -46,7 +46,7 @@ MASK_TOKEN = N_RESIDUE_TYPES  # row index of the mask token in the toy table
 @dataclass
 class GvpState:
     scalar: Tensor   # (n, d)
-    vector: Tensor   # (n, d', 3)
+    vector: Tensor   # (n, 3, d'): x, y, z rows of d' channels
 
 
 @dataclass
@@ -75,6 +75,12 @@ class Corruption:
         default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
+_SIZE_FLOORS = dict(embed_dim=1, scalar_dim=1, vector_dim=1, init_hidden=1,
+                    surface_feat_dim=1, surface_knn=1, init_neighbors=1,
+                    fuse_neighbors=1, rbf_kernels=1, structure_layers=0,
+                    surface_layers=0, window_halfwidth=0)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     mode: str = "s3f"
@@ -94,7 +100,6 @@ class ModelConfig:
     rbf_max: float = 20.0
     window_halfwidth: int = 2
     normalize: bool = True
-    fuse_scalar_only: bool = False
     head_init: float = 1e-3
     seed: int = 0
 
@@ -103,6 +108,11 @@ class ModelConfig:
             raise DataError(f"unknown mode {self.mode!r}")
         if self.embedder not in ("toy", "file"):
             raise DataError(f"unknown embedder {self.embedder!r}")
+        for name, least in _SIZE_FLOORS.items():
+            if getattr(self, name) < least:
+                raise DataError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not self.radius_cutoff > 0:
+            raise DataError(f"radius_cutoff must be > 0, got {self.radius_cutoff}")
 
     @property
     def rbf(self) -> RbfConfig:
@@ -113,12 +123,29 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, blob: str) -> "ModelConfig":
-        return cls(**json.loads(blob))
+        fields = json.loads(blob)
+        if not isinstance(fields, dict):
+            raise DataError("model config is not a JSON object")
+        # configs written before vector fusion became unconditional all
+        # store this key as false
+        if fields.pop("fuse_scalar_only", False):
+            raise DataError("scalar-only fusion (fuse_scalar_only) is not supported")
+        return cls(**fields)
 
 
 # ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------
+
+def _channel_mix(w, vectors: list) -> Tensor:
+    """(o, c) weights applied to the channels of (n, 3, c) vector parts,
+    taken as one channel-axis concat. x, y and z rows all go through the
+    same map, which keeps it rotation-equivariant."""
+    n = vectors[0].shape[0]
+    rows = [ad.reshape(v, (3 * n, v.shape[2])) for v in vectors]
+    out = ad.linear_split(rows, ad.transpose(w))
+    return ad.reshape(out, (n, 3, out.shape[1]))
+
 
 def gvp_apply(p: GvpParams, scalar, vector):
     """One geometric vector perceptron on a batch of (scalar, vector) rows.
@@ -128,13 +155,13 @@ def gvp_apply(p: GvpParams, scalar, vector):
     """
     scalars = scalar if isinstance(scalar, list) else [scalar]
     vectors = vector if isinstance(vector, list) else [vector]
-    v_h = ad.channel_mix_split(p.w_h, vectors)
+    v_h = _channel_mix(p.w_h, vectors)
     norms = ad.vec_norm(v_h)
     lin = ad.linear_split(scalars + [norms], p.w_m, p.b_m)
     s_out = ad.relu(lin)
-    v_mu = ad.channel_mix(p.w_mu, v_h)
+    v_mu = _channel_mix(p.w_mu, [v_h])
     gate = ad.sigmoid(ad.linear_split([s_out], p.w_g, p.b_g))
-    v_out = v_mu * ad.reshape(gate, gate.shape + (1,))
+    v_out = v_mu * ad.reshape(gate, (gate.shape[0], 1, gate.shape[1]))
     return s_out, v_out
 
 
@@ -146,7 +173,7 @@ def _layer_norm_scalar(s: Tensor) -> Tensor:
 
 
 def _rescale_vector(v: Tensor) -> Tensor:
-    n_channels = v.shape[1]
+    n_channels = v.shape[2]
     fro2 = ad.tsum(v * v, axis=(1, 2), keepdims=True)
     return v * (np.sqrt(n_channels) / ad.sqrt(fro2 + 1e-8))
 
@@ -206,7 +233,7 @@ def run_message_passing(blocks, graph: SpatialGraph, state: GvpState,
             msg_s, msg_v = gvp_apply(
                 block.message,
                 [ad.gather(scalar, src), Tensor(graph.edge_scalar[edges])],
-                [ad.gather(vector, src), Tensor(graph.edge_vec[edges, None, :])])
+                [ad.gather(vector, src), Tensor(graph.edge_vec[edges, :, None])])
             kept_s = kept_s + ad.segment_sum(msg_s, dst, n_out) * inv_deg[:, None]
             kept_v = kept_v + ad.segment_sum(msg_v, dst, n_out) * inv_deg[:, None, None]
         scalar, vector = kept_s, kept_v
@@ -240,13 +267,12 @@ def surface_init(params: dict, residue_scalar: Tensor, cloud_features,
     outer = _mlp2([Tensor(cloud_features), pooled],
                   params["surface_init.outer1.w"], params["surface_init.outer1.b"],
                   params["surface_init.outer2.w"], params["surface_init.outer2.b"])
-    zeros = Tensor(np.zeros((n_s, vector_dim, 3)))
+    zeros = Tensor(np.zeros((n_s, 3, vector_dim)))
     return GvpState(scalar=outer, vector=zeros)
 
 
 def fuse_residue_surface(h_res: GvpState, h_surf: GvpState,
-                         fuse_idx: np.ndarray,
-                         scalar_only: bool = False) -> GvpState:
+                         fuse_idx: np.ndarray) -> GvpState:
     """Add the mean state of each residue's nearest surface points."""
     n_r, k = fuse_idx.shape
     flat = fuse_idx.reshape(-1)
@@ -254,11 +280,21 @@ def fuse_residue_surface(h_res: GvpState, h_surf: GvpState,
         ad.reshape(ad.gather(h_surf.scalar, flat), (n_r, k, h_surf.scalar.shape[1])),
         axis=1)
     scalar = h_res.scalar + s_mean
-    if scalar_only:
-        return GvpState(scalar=scalar, vector=h_res.vector)
     v_shape = (n_r, k) + h_surf.vector.shape[1:]
     v_mean = ad.tmean(ad.reshape(ad.gather(h_surf.vector, flat), v_shape), axis=1)
     return GvpState(scalar=scalar, vector=h_res.vector + v_mean)
+
+
+def _window_mean(table, ids: np.ndarray, halfwidth: int) -> Tensor:
+    """Row i is the mean of table[ids[j]] over the sequence window
+    |i - j| <= halfwidth, clipped at the chain ends."""
+    n = len(ids)
+    src = np.arange(n)[:, None] + np.arange(-halfwidth, halfwidth + 1)
+    dst = np.broadcast_to(np.arange(n)[:, None], src.shape)
+    inside = (src >= 0) & (src < n)
+    src, dst = src[inside], dst[inside]  # row-major, so dst is sorted
+    summed = ad.segment_sum(ad.gather(table, ids[src]), dst, n)
+    return summed * (1.0 / np.bincount(dst, minlength=n))[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +311,6 @@ class FitnessModel:
     def __init__(self, config: ModelConfig):
         self.config = config
         self.params: dict = {}
-        self._mix_cache: dict = {}
         rng = np.random.default_rng(config.seed)
         d, dv = config.scalar_dim, config.vector_dim
         if config.embedder == "toy":
@@ -350,18 +385,6 @@ class FitnessModel:
 
     # ---- embeddings ----
 
-    def _window_mixer(self, n: int) -> np.ndarray:
-        cached = self._mix_cache.get(n)
-        if cached is not None:
-            return cached
-        hw = self.config.window_halfwidth
-        mix = np.zeros((n, n))
-        for i in range(n):
-            lo, hi = max(0, i - hw), min(n, i + hw + 1)
-            mix[i, lo:hi] = 1.0 / (hi - lo)
-        self._mix_cache[n] = mix
-        return mix
-
     def embed(self, protein: Protein, masked_positions,
               corruption: Corruption = None,
               embeddings: ResidueEmbeddings = None,
@@ -375,8 +398,8 @@ class FitnessModel:
         if cfg.embedder == "toy":
             ids = corruption.corrupted_sequence.copy()
             ids[corruption.mask_positions] = MASK_TOKEN
-            rows = ad.gather(self.params["embed.table"], ids)
-            mixed = Tensor(self._window_mixer(protein.n_residues)) @ rows
+            mixed = _window_mean(self.params["embed.table"], ids,
+                                 cfg.window_halfwidth)
         else:
             if embeddings is None:
                 raise DataError("file-mode model requires precomputed embeddings")
@@ -462,13 +485,13 @@ class FitnessModel:
             sets = receptive_sets(graph, masked, len(self.structure_blocks))
             state0 = GvpState(
                 scalar=ad.gather(h0_scalar, sets[0]),
-                vector=Tensor(np.zeros((len(sets[0]), cfg.vector_dim, 3))))
+                vector=Tensor(np.zeros((len(sets[0]), 3, cfg.vector_dim))))
             h_res = run_message_passing(self.structure_blocks, graph, state0,
                                         cfg.normalize, sets)
         else:
             h_res = GvpState(
                 scalar=ad.gather(h0_scalar, masked),
-                vector=Tensor(np.zeros((len(masked), cfg.vector_dim, 3))))
+                vector=Tensor(np.zeros((len(masked), 3, cfg.vector_dim))))
         if mode in ("s3f", "surf_only"):
             if cloud is None or cloud.n_points == 0:
                 raise DataError(f"mode {mode!r} requires a surface cloud")
@@ -494,8 +517,7 @@ class FitnessModel:
             h_surf = run_message_passing(self.surface_blocks, sgraph, h_surf0,
                                          cfg.normalize, sets)
             h_res = fuse_residue_surface(h_res, h_surf,
-                                         np.searchsorted(sets[-1], fuse_idx),
-                                         scalar_only=cfg.fuse_scalar_only)
+                                         np.searchsorted(sets[-1], fuse_idx))
         logits = ad.linear_split([h_res.scalar], self.params["head.w"],
                                  self.params["head.b"])
         return ad.log_softmax(logits)

@@ -94,9 +94,9 @@ def test_criterion_1_equivariance():
     d, dv = model.config.scalar_dim, model.config.vector_dim
     rng = np.random.default_rng(3)
     s0 = rng.standard_normal((protein.n_residues, d))
-    v0 = rng.standard_normal((protein.n_residues, dv, 3))
+    v0 = rng.standard_normal((protein.n_residues, 3, dv))
     surf_s0 = rng.standard_normal((cloud.n_points, d))
-    surf_v0 = rng.standard_normal((cloud.n_points, dv, 3))
+    surf_v0 = rng.standard_normal((cloud.n_points, 3, dv))
     for trial in range(10):
         rot, shift = rigid_motion(trial + 900)
         for blocks, coords, s_init, v_init in (
@@ -111,12 +111,12 @@ def test_criterion_1_equivariance():
                   build_knn_graph(coords @ rot.T + shift, 16,
                                   rbf=model.config.rbf))
             state1 = GvpState(Tensor(s_init), Tensor(v_init))
-            state2 = GvpState(Tensor(s_init), Tensor(v_init @ rot.T))
+            state2 = GvpState(Tensor(s_init), Tensor(rot @ v_init))
             for block in blocks:
                 state1 = run_message_passing([block], g1, state1)
                 state2 = run_message_passing([block], g2, state2)
                 dv_err = np.abs(state2.vector.data
-                                - state1.vector.data @ rot.T).max()
+                                - rot @ state1.vector.data).max()
                 worst_vec = max(worst_vec, float(dv_err))
     elapsed = time.time() - t_start
     report("1-equivariance",
@@ -282,9 +282,9 @@ def test_criterion_3_oracles():
         pts = rng.uniform(0, 10, (n_s, 3))
         coords = rng.uniform(0, 10, (n_r, 3))
         h_res = GvpState(Tensor(rng.standard_normal((n_r, 4))),
-                         Tensor(rng.standard_normal((n_r, 2, 3))))
+                         Tensor(rng.standard_normal((n_r, 3, 2))))
         h_surf = GvpState(Tensor(rng.standard_normal((n_s, 4))),
-                          Tensor(rng.standard_normal((n_s, 2, 3))))
+                          Tensor(rng.standard_normal((n_s, 3, 2))))
         idx, _ = cross_knn(coords, pts, k)
         out = fuse_residue_surface(h_res, h_surf, idx)
         ok = True

@@ -162,6 +162,20 @@ def test_pretrain_divergence_exits_3(workspace, tmp_path):
     assert "non-finite" in proc.stderr
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--scalar-dim", "-5", "scalar_dim"), ("--scalar-dim", "0", "scalar_dim"),
+    ("--layers", "-1", "structure_layers"), ("--vector-dim", "0", "vector_dim"),
+    ("--embed-dim", "0", "embed_dim")])
+def test_pretrain_model_size_that_cannot_run_exits_2(workspace, tmp_path, flag,
+                                                     value, field):
+    root, _, _ = workspace
+    proc = run_cli("pretrain", root / "corpus", "--out-dir", tmp_path / "bad",
+                   "--mode", "s2f", "--epochs", "1", *MODEL_FLAGS, flag, value)
+    assert proc.returncode == 2, proc.stderr
+    assert field in proc.stderr
+    assert not (tmp_path / "bad" / "checkpoint.s3fc").exists()
+
+
 def test_pretrain_s2f_checkpoint_has_no_surface_tensors(workspace, tmp_path):
     root, _, _ = workspace
     proc = run_cli("pretrain", root / "corpus", "--out-dir", tmp_path / "s2f",

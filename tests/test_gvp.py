@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -10,12 +12,13 @@ from protfit.errors import DataError
 from protfit.geometry import (RbfConfig, build_knn_graph, build_radius_graph,
                               cross_knn, rbf_expand)
 from protfit.gvp import (Corruption, FitnessModel, GvpParams, GvpState,
-                         ModelConfig, MODES, _layer_norm_scalar, _rescale_vector,
-                         fuse_residue_surface, gvp_apply, load_checkpoint,
-                         receptive_sets, run_message_passing, save_checkpoint,
-                         surface_init)
+                         ModelConfig, MODES, _channel_mix, _layer_norm_scalar,
+                         _rescale_vector, _window_mean, fuse_residue_surface,
+                         gvp_apply, load_checkpoint, receptive_sets,
+                         run_message_passing, save_checkpoint, surface_init)
 from protfit.io import ResidueEmbeddings, mask_context_tag
 from protfit.surface import SurfaceConfig, SurfacePointCloud, generate_surface, surface_features
+from test_autodiff import check
 
 SMALL_MODEL = dict(scalar_dim=10, vector_dim=3, structure_layers=2,
                    surface_layers=2, init_hidden=8, embed_dim=12,
@@ -48,12 +51,30 @@ def make_cloud(protein, seed=0, n_max=96):
 # gvp_apply
 # ---------------------------------------------------------------------------
 
+def test_channel_mix_of_split_parts_matches_einsum_over_concat(rng):
+    w = Parameter(rng.standard_normal((4, 5)))
+    v1 = Parameter(rng.standard_normal((6, 3, 2)))
+    v2 = Parameter(rng.standard_normal((6, 3, 3)))
+    got = _channel_mix(w, [v1, v2])
+    want = np.einsum("oi,nxi->nxo", w.data,
+                     np.concatenate([v1.data, v2.data], axis=2))
+    assert got.shape == (6, 3, 4)
+    assert np.abs(got.data - want).max() < 1e-13
+    weights = Tensor(rng.standard_normal((6, 3, 4)))
+
+    def fn():
+        out = _channel_mix(w, [v1, v2])
+        return ad.tsum(out * out * weights)
+
+    check(fn, [w, v1, v2])
+
+
 def test_gvp_zero_vectors_stay_zero(rng):
     p = random_gvp(rng, 4, 3, 5, 2)
     s = Tensor(rng.standard_normal((6, 4)))
     v = Tensor(np.zeros((6, 3, 3)))
     _, v_out = gvp_apply(p, s, v)
-    assert np.array_equal(v_out.data, np.zeros((6, 2, 3)))
+    assert np.array_equal(v_out.data, np.zeros((6, 3, 2)))
 
 
 def test_gvp_equivariance(rng):
@@ -62,9 +83,9 @@ def test_gvp_equivariance(rng):
     v = rng.standard_normal((6, 3, 3))
     rot = random_rotation(3)
     s1, v1 = gvp_apply(p, s, Tensor(v))
-    s2, v2 = gvp_apply(p, s, Tensor(v @ rot.T))
+    s2, v2 = gvp_apply(p, s, Tensor(rot @ v))
     assert np.abs(s1.data - s2.data).max() < 1e-10
-    assert np.abs(v2.data - v1.data @ rot.T).max() < 1e-10
+    assert np.abs(v2.data - rot @ v1.data).max() < 1e-10
 
 
 def test_gvp_jacobian_matches_finite_differences(rng):
@@ -102,7 +123,7 @@ def test_gvp_jacobian_matches_finite_differences(rng):
 
 def _random_state(rng, n, d, dv):
     return GvpState(scalar=Tensor(rng.standard_normal((n, d))),
-                    vector=Tensor(rng.standard_normal((n, dv, 3))))
+                    vector=Tensor(rng.standard_normal((n, 3, dv))))
 
 
 def test_zero_edge_graph_is_feedforward_only(rng):
@@ -136,6 +157,11 @@ def test_residual_identity_with_zero_weights(rng):
     assert np.array_equal(out.vector.data, state.vector.data)
 
 
+def test_rescale_vector_sets_row_norm_to_sqrt_channels(rng):
+    out = _rescale_vector(Tensor(rng.standard_normal((5, 3, 7)))).data
+    assert np.abs(np.sqrt((out ** 2).sum(axis=(1, 2))) - np.sqrt(7)).max() < 1e-8
+
+
 def test_message_passing_rigid_motion(rng):
     coords = np.random.default_rng(1).uniform(0, 8, (7, 3))
     rot = random_rotation(8)
@@ -146,11 +172,11 @@ def test_message_passing_rigid_motion(rng):
         g1 = build_radius_graph(coords, 10.0, rbf=model.config.rbf)
         g2 = build_radius_graph(coords @ rot.T + shift, 10.0, rbf=model.config.rbf)
         rotated = GvpState(scalar=state.scalar,
-                           vector=Tensor(state.vector.data @ rot.T))
+                           vector=Tensor(rot @ state.vector.data))
         o1 = run_message_passing(model.structure_blocks, g1, state, normalize)
         o2 = run_message_passing(model.structure_blocks, g2, rotated, normalize)
         assert np.abs(o1.scalar.data - o2.scalar.data).max() < 1e-8
-        assert np.abs(o2.vector.data - o1.vector.data @ rot.T).max() < 1e-8
+        assert np.abs(o2.vector.data - rot @ o1.vector.data).max() < 1e-8
 
 
 def test_two_node_block_matches_hand_evaluation(rng):
@@ -167,19 +193,19 @@ def test_two_node_block_matches_hand_evaluation(rng):
         feedforward = ff
 
     s0 = rng.standard_normal((2, d))
-    v0 = rng.standard_normal((2, dv, 3))
+    v0 = rng.standard_normal((2, 3, dv))
     out = run_message_passing([Block()], graph,
                               GvpState(Tensor(s0), Tensor(v0)),
                               normalize=False)
 
     def hand_gvp(p, s_in, v_in):
-        vh = np.einsum("oi,nix->nox", p.w_h.data, v_in)
-        norms = np.sqrt((vh ** 2).sum(axis=2) + 1e-8)
+        vh = np.einsum("oi,nxi->nxo", p.w_h.data, v_in)
+        norms = np.sqrt((vh ** 2).sum(axis=1) + 1e-8)
         lin = np.concatenate([s_in, norms], axis=1) @ p.w_m.data + p.b_m.data
         s_out = np.maximum(lin, 0.0)
-        vmu = np.einsum("oi,nix->nox", p.w_mu.data, vh)
+        vmu = np.einsum("oi,nxi->nxo", p.w_mu.data, vh)
         gate = 1.0 / (1.0 + np.exp(-(s_out @ p.w_g.data + p.b_g.data)))
-        return s_out, vmu * gate[:, :, None]
+        return s_out, vmu * gate[:, None, :]
 
     # edges sorted by (dst, src): (1,0) then (0,1)
     s_hand = s0.copy()
@@ -192,7 +218,7 @@ def test_two_node_block_matches_hand_evaluation(rng):
         delta = coords[src[e]] - coords[dst[e]]
         edge_s = rbf_expand(np.linalg.norm(delta), cfg)
         s_in = np.concatenate([s0[src[e]], edge_s])[None, :]
-        v_in = np.concatenate([v0[src[e]], delta[None, :]], axis=0)[None, :]
+        v_in = np.concatenate([v0[src[e]], delta[:, None]], axis=1)[None, :]
         ms, mv = hand_gvp(msg, s_in, v_in)
         msgs_s[dst[e]] += ms[0]
         msgs_v[dst[e]] += mv[0]
@@ -229,7 +255,7 @@ def test_surface_init_zero_inner_reduces_to_outer(rng):
     expected = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
     assert np.abs(out.scalar.data - expected).max() < 1e-12
     assert np.array_equal(out.vector.data,
-                          np.zeros((n_s, model.config.vector_dim, 3)))
+                          np.zeros((n_s, 3, model.config.vector_dim)))
 
 
 def test_surface_init_duplicate_residue_deterministic(rng):
@@ -308,13 +334,57 @@ def test_fuse_matches_brute_force(rng):
         assert np.abs(out.vector.data[i] - (h_res.vector.data[i] + mean_v)).max() < 1e-12
 
 
-def test_fuse_scalar_only_flag(rng):
-    h_res = _random_state(rng, 4, 10, 3)
-    h_surf = _random_state(rng, 25, 10, 3)
-    idx = np.random.default_rng(1).integers(0, 25, (4, 20))
-    out = fuse_residue_surface(h_res, h_surf, idx, scalar_only=True)
-    assert np.array_equal(out.vector.data, h_res.vector.data)
-    assert not np.array_equal(out.scalar.data, h_res.scalar.data)
+# ---------------------------------------------------------------------------
+# toy embedder window
+# ---------------------------------------------------------------------------
+
+def _dense_window_mixer(n, halfwidth):
+    """Row i holds 1/|window| on the clipped window i-hw..i+hw."""
+    mix = np.zeros((n, n))
+    for i in range(n):
+        lo, hi = max(0, i - halfwidth), min(n, i + halfwidth + 1)
+        mix[i, lo:hi] = 1.0 / (hi - lo)
+    return mix
+
+
+@pytest.mark.parametrize("n,halfwidth", [(1, 2), (3, 2), (5, 2), (6, 2), (17, 2),
+                                         (7, 0), (4, 5), (9, 3)])
+def test_window_mean_matches_dense_mixer(rng, n, halfwidth):
+    table = Parameter(rng.standard_normal((21, 4)))
+    ids = rng.integers(0, 6, n)  # few types, so rows repeat
+    got = _window_mean(table, ids, halfwidth)
+    want = _dense_window_mixer(n, halfwidth) @ table.data[ids]
+    assert got.shape == (n, 4)
+    assert np.abs(got.data - want).max() < 1e-14
+    weights = Tensor(rng.standard_normal((n, 4)))
+
+    def fn():
+        out = _window_mean(table, ids, halfwidth)
+        return ad.tsum(out * out * weights)
+
+    check(fn, [table])
+
+
+# ---------------------------------------------------------------------------
+# config
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field,value", [
+    ("embed_dim", 0), ("scalar_dim", 0), ("scalar_dim", -5), ("vector_dim", 0),
+    ("init_hidden", 0), ("surface_feat_dim", 0), ("surface_knn", 0),
+    ("init_neighbors", 0), ("fuse_neighbors", 0), ("rbf_kernels", 0),
+    ("structure_layers", -1), ("surface_layers", -1), ("window_halfwidth", -1),
+    ("radius_cutoff", 0.0), ("radius_cutoff", -3.0), ("radius_cutoff", float("nan"))])
+def test_config_rejects_sizes_that_cannot_run(field, value):
+    with pytest.raises(DataError, match=field):
+        ModelConfig(**{field: value})
+
+
+def test_config_allows_zero_layers_and_window():
+    protein = make_coil_protein(8, seed=4)
+    model = small_model(structure_layers=0, surface_layers=0, window_halfwidth=0)
+    rows = model.forward_logits(protein, [1, 6], cloud=make_cloud(protein))
+    assert rows.shape == (2, 20) and np.isfinite(rows.data).all()
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +529,7 @@ def _full_message_passing(blocks, graph, state, normalize):
     n = graph.n_nodes
     if graph.n_edges:
         edge_s = Tensor(graph.edge_scalar)
-        edge_v = Tensor(graph.edge_vec[:, None, :])
+        edge_v = Tensor(graph.edge_vec[:, :, None])
         inv_deg = 1.0 / np.maximum(graph.in_degree(), 1)
     for block in blocks:
         if graph.n_edges:
@@ -484,7 +554,7 @@ def _full_forward(model, protein, masked, mode, cloud):
     masked = np.asarray(sorted(set(masked)), dtype=np.int64)
     h0 = model.embed(protein, masked)
     state0 = GvpState(scalar=h0, vector=Tensor(
-        np.zeros((protein.n_residues, cfg.vector_dim, 3))))
+        np.zeros((protein.n_residues, 3, cfg.vector_dim))))
     h_res = state0
     if mode in ("s2f", "s3f"):
         graph = build_radius_graph(protein.ca_coords, cfg.radius_cutoff, rbf=cfg.rbf)
@@ -500,8 +570,7 @@ def _full_forward(model, protein, masked, mode, cloud):
                                        cfg.normalize)
         fuse_idx, _ = cross_knn(protein.ca_coords, cloud.points,
                                 min(cfg.fuse_neighbors, cloud.n_points))
-        h_res = fuse_residue_surface(h_res, h_surf, fuse_idx,
-                                     scalar_only=cfg.fuse_scalar_only)
+        h_res = fuse_residue_surface(h_res, h_surf, fuse_idx)
     rows = ad.gather(h_res.scalar, masked)
     return ad.log_softmax(ad.linear_split([rows], model.params["head.w"],
                                           model.params["head.b"]))
@@ -675,6 +744,41 @@ def test_s2f_checkpoint_has_no_surface_tensors(tmp_path):
     save_checkpoint(model, path)
     again = load_checkpoint(path)
     assert set(again.params) == set(model.params)
+
+
+def _rewrite_config(path, edit):
+    """Apply ``edit`` to the config JSON stored in an S3FC file."""
+    blob = path.read_bytes()
+    version, cfg_len = struct.unpack("<II", blob[4:12])
+    fields = json.loads(blob[12:12 + cfg_len])
+    edit(fields)
+    cfg = json.dumps(fields, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:4] + struct.pack("<II", version, len(cfg)) + cfg
+                     + blob[12 + cfg_len:])
+
+
+def test_checkpoint_with_fuse_scalar_only_key(tmp_path):
+    """Checkpoints store ``"fuse_scalar_only": false`` from when that knob
+    existed: false loads and scores as without the key, true cannot run."""
+    protein = make_coil_protein(12, seed=2)
+    cloud = make_cloud(protein, seed=0)
+    path = tmp_path / "m.s3fc"
+    save_checkpoint(small_model(mode="s3f", seed=23), path)
+    plain = load_checkpoint(path)
+    _rewrite_config(path, lambda fields: fields.update(fuse_scalar_only=False))
+    old = load_checkpoint(path)
+    assert old.config == plain.config
+    assert np.array_equal(old.forward_logits(protein, [3, 8], cloud=cloud).data,
+                          plain.forward_logits(protein, [3, 8], cloud=cloud).data)
+    _rewrite_config(path, lambda fields: fields.update(fuse_scalar_only=True))
+    with pytest.raises(DataError, match="fuse_scalar_only"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("blob", ['["s3f"]', '"s3f"', "3", "null"])
+def test_config_json_must_be_an_object(blob):
+    with pytest.raises(DataError, match="JSON object"):
+        ModelConfig.from_json(blob)
 
 
 def test_checkpoint_magic_guard(tmp_path):
