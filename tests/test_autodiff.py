@@ -8,7 +8,7 @@ from conftest import make_coil_protein
 from protfit import autodiff as ad
 from protfit.autodiff import Parameter, Tensor
 from protfit.errors import DataError
-from protfit.gvp import FitnessModel, ModelConfig
+from protfit.gvp import FitnessModel, ModelConfig, _channel_mix
 
 
 def numeric_grad(fn, param, h=1e-6):
@@ -56,6 +56,27 @@ def test_transpose(rng):
         return ad.tsum(out * out * Tensor(np.arange(6.0)))
 
     check(fn, [a, b])
+
+
+def test_channel_mix(rng):
+    w = Parameter(rng.standard_normal((4, 3)))
+    v = Parameter(rng.standard_normal((5, 3, 3)))
+    check(lambda: ad.tsum(_channel_mix(w, [v]) * 0.7), [w, v])
+
+
+def test_channel_mix_split_equals_concat(rng):
+    w = Parameter(rng.standard_normal((4, 5)))
+    v1 = Parameter(rng.standard_normal((6, 3, 2)))
+    v2 = Parameter(rng.standard_normal((6, 3, 3)))
+    merged = _channel_mix(w, [ad.concat([v1, v2], axis=2)])
+    split = _channel_mix(w, [v1, v2])
+    assert np.allclose(merged.data, split.data)
+
+    def fn():
+        out = _channel_mix(w, [v1, v2])
+        return ad.tsum(out * out)
+
+    check(fn, [w, v1, v2])
 
 
 def test_linear_split_matches_concat(rng):
