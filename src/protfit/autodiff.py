@@ -1,14 +1,23 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Everything runs in float64. A Tensor records its parents and a backward
-closure; ``backward()`` topologically sorts the tape and accumulates
-gradients into ``.grad``. Inside ``no_grad()`` operations record neither,
-so inference builds no tape. Only the operations the network needs are
-implemented: elementwise arithmetic with broadcasting, affine maps of
-split row blocks (``linear_split``, which also mixes vector channels),
-2-D transpose, reshape and concat, row gather/scatter, sorted-segment
-sums, reductions, and the usual nonlinearities. All reductions use fixed
-summation orders, so repeated runs are bit-identical.
+Everything runs in float64. An op computes its output array and hands
+``_make(data, parents, vjps)`` one vector-Jacobian product per parent:
+``vjps[i]`` maps the gradient of the output to the gradient of
+``parents[i]``, already reduced to that parent's shape. The output keeps
+its parents in ``_parents`` and the VJPs in ``_backward``.
+``Tensor.backward`` topologically sorts the tape and is the only place
+that routes gradients: it calls a VJP only for a parent that requires a
+gradient and adds the result into that parent's ``.grad``. Parents and
+VJPs are paired with ``zip(strict=True)``, so an op that leaves a VJP out
+raises instead of dropping a gradient. Inside ``no_grad()`` ops record
+neither, so inference builds no tape.
+
+Only the ops the network needs are implemented: elementwise arithmetic
+with broadcasting, affine maps of split row blocks (``linear_split``,
+which also mixes vector channels), 2-D transpose, reshape and concat, row
+gather/scatter, sorted-segment sums, reductions, and the usual
+nonlinearities. All reductions use fixed summation orders, so repeated
+runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -58,6 +67,12 @@ def _scatter_rows(idx: np.ndarray, grad: np.ndarray, n: int) -> np.ndarray:
     out = np.bincount((idx[:, None] * d + cols).ravel(),
                       weights=flat.ravel(), minlength=n * d)
     return out.reshape((n,) + grad.shape[1:])
+
+
+def _blocks(sizes) -> list:
+    """Consecutive slices that cut blocks of the given sizes."""
+    ends = np.cumsum(sizes)
+    return [slice(end - size, end) for size, end in zip(sizes, ends)]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -122,8 +137,11 @@ class Tensor:
                     stack.append((p, False))
         self._accumulate(np.asarray(grad, dtype=np.float64))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is None or node.grad is None:
+                continue
+            for p, vjp in zip(node._parents, node._backward, strict=True):
+                if p.requires_grad:
+                    p._accumulate(vjp(node.grad))
 
     # ---- operator sugar ----
     def __add__(self, other):
@@ -169,8 +187,8 @@ _grad_enabled = True
 @contextmanager
 def no_grad():
     """Build no tape inside the block: results record no parents and no
-    backward closure, so intermediates are freed as soon as they are
-    unreferenced. The previous mode comes back on exit, also on error."""
+    VJPs, so intermediates are freed as soon as they are unreferenced.
+    The previous mode comes back on exit, also on error."""
     global _grad_enabled
     previous, _grad_enabled = _grad_enabled, False
     try:
@@ -179,12 +197,12 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _make(data, parents, backward_fn) -> Tensor:
+def _make(data, parents, vjps) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
-        out._backward = backward_fn
+        out._backward = tuple(vjps)
     return out
 
 
@@ -194,51 +212,31 @@ def _make(data, parents, backward_fn) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(a.data + b.data, (a, b), backward)
+    return _make(a.data + b.data, (a, b),
+                 (lambda g: _unbroadcast(g, a.data.shape),
+                  lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return _make(a.data - b.data, (a, b), backward)
+    return _make(a.data - b.data, (a, b),
+                 (lambda g: _unbroadcast(g, a.data.shape),
+                  lambda g: _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(a.data * b.data, (a, b), backward)
+    return _make(a.data * b.data, (a, b),
+                 (lambda g: _unbroadcast(g * b.data, a.data.shape),
+                  lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data),
-                                       b.data.shape))
-
-    return _make(a.data / b.data, (a, b), backward)
+    return _make(a.data / b.data, (a, b),
+                 (lambda g: _unbroadcast(g / b.data, a.data.shape),
+                  lambda g: _unbroadcast(-g * a.data / (b.data * b.data),
+                                         b.data.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,29 +249,25 @@ def linear_split(parts, w, b=None) -> Tensor:
     parts' widths."""
     parts = [as_tensor(p) for p in parts]
     w = as_tensor(w)
-    widths = [p.data.shape[1] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-    out = parts[0].data @ w.data[offsets[0]:offsets[1]]
-    for i in range(1, len(parts)):
-        out += parts[i].data @ w.data[offsets[i]:offsets[i + 1]]
+    rows = _blocks([p.data.shape[1] for p in parts])
+    out = parts[0].data @ w.data[rows[0]]
+    for p, r in zip(parts[1:], rows[1:]):
+        out += p.data @ w.data[r]
+
+    def vjp_w(g):
+        gw = np.empty_like(w.data)
+        for p, r in zip(parts, rows):
+            gw[r] = p.data.T @ g
+        return gw
+
+    parents = (*parts, w)
+    vjps = [lambda g, r=r: g @ w.data[r].T for r in rows] + [vjp_w]
     if b is not None:
         b = as_tensor(b)
         out = out + b.data
-    parents = tuple(parts) + ((w,) if b is None else (w, b))
-
-    def backward(g):
-        if w.requires_grad:
-            gw = np.empty_like(w.data)
-            for i, p in enumerate(parts):
-                gw[offsets[i]:offsets[i + 1]] = p.data.T @ g
-            w._accumulate(gw)
-        for i, p in enumerate(parts):
-            if p.requires_grad:
-                p._accumulate(g @ w.data[offsets[i]:offsets[i + 1]].T)
-        if b is not None and b.requires_grad:
-            b._accumulate(g.sum(axis=0))
-
-    return _make(out, parents, backward)
+        parents += (b,)
+        vjps.append(lambda g: g.sum(axis=0))
+    return _make(out, parents, vjps)
 
 
 # ---------------------------------------------------------------------------
@@ -282,52 +276,31 @@ def linear_split(parts, w, b=None) -> Tensor:
 
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
-    old = x.data.shape
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.reshape(old))
-
-    return _make(x.data.reshape(shape), (x,), backward)
+    return _make(x.data.reshape(shape), (x,),
+                 (lambda g: g.reshape(x.data.shape),))
 
 
 def transpose(x) -> Tensor:
     """Transpose of a 2-D tensor (a view; no copy)."""
     x = as_tensor(x)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.T)
-
-    return _make(x.data.T, (x,), backward)
+    return _make(x.data.T, (x,), (lambda g: g.T,))
 
 
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        pieces = np.split(g, splits, axis=axis)
-        for p, piece in zip(parts, pieces):
-            if p.requires_grad:
-                p._accumulate(piece)
-
-    return _make(np.concatenate([p.data for p in parts], axis=axis),
-                 tuple(parts), backward)
+    data = np.concatenate([p.data for p in parts], axis=axis)
+    lead = (slice(None),) * (axis % data.ndim)
+    return _make(data, parts,
+                 [lambda g, s=(*lead, block): g[s]
+                  for block in _blocks([p.data.shape[axis] for p in parts])])
 
 
 def gather(x, idx) -> Tensor:
-    """Select rows x[idx] along axis 0; backward scatter-adds."""
+    """Select rows x[idx] along axis 0; the VJP scatter-adds."""
     x = as_tensor(x)
     idx = np.asarray(idx, dtype=np.int64)
-    n = x.data.shape[0]
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(_scatter_rows(idx, g, n))
-
-    return _make(x.data[idx], (x,), backward)
+    return _make(x.data[idx], (x,),
+                 (lambda g: _scatter_rows(idx, g, x.data.shape[0]),))
 
 
 def substitute_rows(base, idx, rows) -> Tensor:
@@ -337,15 +310,12 @@ def substitute_rows(base, idx, rows) -> Tensor:
     data = base.data.copy()
     data[idx] = rows.data
 
-    def backward(g):
-        if base.requires_grad:
-            gb = g.copy()
-            gb[idx] = 0.0
-            base._accumulate(gb)
-        if rows.requires_grad:
-            rows._accumulate(g[idx])
+    def vjp_base(g):
+        gb = g.copy()
+        gb[idx] = 0.0
+        return gb
 
-    return _make(data, (base, rows), backward)
+    return _make(data, (base, rows), (vjp_base, lambda g: g[idx]))
 
 
 def segment_sum(x, seg: np.ndarray, n_segments: int) -> Tensor:
@@ -357,12 +327,7 @@ def segment_sum(x, seg: np.ndarray, n_segments: int) -> Tensor:
     if len(seg):
         starts = np.concatenate([[0], np.flatnonzero(np.diff(seg)) + 1])
         out[seg[starts]] = np.add.reduceat(x.data, starts, axis=0)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g[seg])
-
-    return _make(out, (x,), backward)
+    return _make(out, (x,), (lambda g: g[seg],))
 
 
 def select_rc(x, rows, cols) -> Tensor:
@@ -371,13 +336,12 @@ def select_rc(x, rows, cols) -> Tensor:
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
 
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, (rows, cols), g)
-            x._accumulate(gx)
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, (rows, cols), g)
+        return gx
 
-    return _make(x.data[rows, cols], (x,), backward)
+    return _make(x.data[rows, cols], (x,), (vjp,))
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +352,12 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     axes = axis if axis is None or isinstance(axis, tuple) else (axis,)
 
-    def backward(g):
-        if not x.requires_grad:
-            return
-        if axes is None:
-            x._accumulate(np.broadcast_to(g, x.data.shape).copy())
-            return
-        if not keepdims:
+    def vjp(g):
+        if axes is not None and not keepdims:
             g = np.expand_dims(g, axes)
-        x._accumulate(np.broadcast_to(g, x.data.shape).copy())
+        return np.broadcast_to(g, x.data.shape).copy()
 
-    return _make(x.data.sum(axis=axes, keepdims=keepdims), (x,), backward)
+    return _make(x.data.sum(axis=axes, keepdims=keepdims), (x,), (vjp,))
 
 
 def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
@@ -414,12 +373,7 @@ def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
 def relu(x) -> Tensor:
     x = as_tensor(x)
     mask = x.data > 0
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * mask)
-
-    return _make(np.where(mask, x.data, 0.0), (x,), backward)
+    return _make(np.where(mask, x.data, 0.0), (x,), (lambda g: g * mask,))
 
 
 def sigmoid(x) -> Tensor:
@@ -429,23 +383,13 @@ def sigmoid(x) -> Tensor:
     out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
     ex = np.exp(x.data[~pos])
     out[~pos] = ex / (1.0 + ex)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * out * (1.0 - out))
-
-    return _make(out, (x,), backward)
+    return _make(out, (x,), (lambda g: g * out * (1.0 - out),))
 
 
 def sqrt(x) -> Tensor:
     x = as_tensor(x)
     out = np.sqrt(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * 0.5 / out)
-
-    return _make(out, (x,), backward)
+    return _make(out, (x,), (lambda g: g * 0.5 / out,))
 
 
 def log_softmax(x) -> Tensor:
@@ -455,12 +399,8 @@ def log_softmax(x) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
     soft = np.exp(out)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g - soft * g.sum(axis=-1, keepdims=True))
-
-    return _make(out, (x,), backward)
+    return _make(out, (x,),
+                 (lambda g: g - soft * g.sum(axis=-1, keepdims=True),))
 
 
 def vec_norm(v, eps: float = 1e-8) -> Tensor:

@@ -149,6 +149,8 @@ def bootstrap_diff_stderr(metric_a, metric_b, n_boot: int = 10000,
         raise DataError("paired metric lists must have equal length")
     if len(a) < 2:
         raise DataError("need at least 2 assays")
+    if n_boot < 1:
+        raise DataError(f"bootstrap resamples must be >= 1, got {n_boot}")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(a), size=(n_boot, len(a)))
     diffs = np.empty(n_boot)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import dataclass
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,10 @@ class TrainConfig:
             raise DataError("batch_size must be positive")
         if self.optimizer not in ("adam", "sgd"):
             raise DataError(f"unknown optimizer {self.optimizer!r}")
+        # 0 turns clipping or periodic checkpoints off; negatives mean nothing
+        for name in ("grad_clip", "checkpoint_every"):
+            if not getattr(self, name) >= 0:
+                raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @property
     def resolved_batch_size(self) -> int:
@@ -326,7 +331,8 @@ def load_train_state(path):
     if not path.exists():
         raise DataError(f"resume state not found: {path}")
     try:
-        with np.load(path) as data:
+        # read the bytes first: on a corrupt zip np.load leaks its open file
+        with np.load(BytesIO(path.read_bytes())) as data:
             arrays = {key: data[key] for key in data.files}
         meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
         model = FitnessModel(ModelConfig.from_json(meta["config"]))

@@ -44,6 +44,12 @@ def test_add_mul_broadcast(rng):
     b = Parameter(rng.standard_normal(5))
     c = Parameter(rng.standard_normal((4, 1)))
     check(lambda: ad.tsum((a + b) * c - a / (2.0 + c * c)), [a, b, c])
+    # sub and div with the right operand broadcast, then a constant on the
+    # left of sub and div, and negation
+    for shape in ((5,), (4, 1)):
+        y = Parameter(1.0 + rng.random(shape))
+        check(lambda: ad.tsum((a - y) * (a / y)), [a, y])
+        check(lambda: ad.tsum((2.0 - y) * (2.0 / y) * -a), [a, y])
 
 
 def test_transpose(rng):
@@ -71,6 +77,10 @@ def test_channel_mix_split_equals_concat(rng):
     merged = _channel_mix(w, [ad.concat([v1, v2], axis=2)])
     split = _channel_mix(w, [v1, v2])
     assert np.allclose(merged.data, split.data)
+    assert np.array_equal(ad.concat([v1, v2], axis=-1).data,
+                          ad.concat([v1, v2], axis=2).data)
+    check(lambda: ad.tsum(ad.concat([v1, v2], axis=-1) * np.arange(5.0)),
+          [v1, v2])
 
     def fn():
         out = _channel_mix(w, [v1, v2])
@@ -125,6 +135,14 @@ def test_substitute_rows(rng):
     assert np.allclose(out.data[[0, 2, 4]], base.data[[0, 2, 4]])
     check(lambda: ad.tsum(ad.relu(ad.substitute_rows(base, idx, rows))),
           [base, rows])
+    # the file-mode embed path: rows concatenated on axis 0, then substituted
+    first = Parameter(rng.standard_normal((1, 3)))
+    weights = Tensor(rng.standard_normal((5, 3)))
+    assert np.array_equal(ad.concat([first, rows], axis=0).data,
+                          np.concatenate([first.data, rows.data]))
+    check(lambda: ad.tsum(ad.substitute_rows(
+        base, np.array([4, 0, 2]), ad.concat([first, rows], axis=0)) * weights),
+        [base, first, rows])
 
 
 def test_select_rc(rng):
@@ -171,6 +189,31 @@ def test_shared_node_accumulates():
     y = x + x
     y.backward()
     assert x.grad[0] == 2.0
+
+
+def test_vjp_not_called_for_parent_without_grad(rng):
+    x = Parameter(rng.standard_normal(3))
+    const = Tensor(rng.standard_normal(3))
+
+    def never(g):
+        raise AssertionError("VJP of a parent that needs no gradient ran")
+
+    out = ad._make(x.data * const.data, (const, x),
+                   (never, lambda g: g * const.data))
+    ad.tsum(out).backward()
+    assert np.array_equal(x.grad, const.data)
+    assert const.grad is None
+
+
+def test_vjp_count_must_match_parents(rng):
+    x = Parameter(rng.standard_normal(3))
+    y = Parameter(rng.standard_normal(3))
+    short = ad._make(x.data + y.data, (x, y), (lambda g: g,))
+    with pytest.raises(ValueError, match="zip"):
+        ad.tsum(short).backward()
+    long = ad._make(2.0 * x.data, (x,), (lambda g: 2.0 * g, lambda g: g))
+    with pytest.raises(ValueError, match="zip"):
+        ad.tsum(long).backward()
 
 
 def test_backward_scale_linearity(rng):

@@ -165,7 +165,8 @@ def test_pretrain_divergence_exits_3(workspace, tmp_path):
 @pytest.mark.parametrize("flag,value,field", [
     ("--scalar-dim", "-5", "scalar_dim"), ("--scalar-dim", "0", "scalar_dim"),
     ("--layers", "-1", "structure_layers"), ("--vector-dim", "0", "vector_dim"),
-    ("--embed-dim", "0", "embed_dim")])
+    ("--embed-dim", "0", "embed_dim"), ("--grad-clip", "-1", "grad_clip"),
+    ("--checkpoint-every", "-1", "checkpoint_every")])
 def test_pretrain_model_size_that_cannot_run_exits_2(workspace, tmp_path, flag,
                                                      value, field):
     root, _, _ = workspace
@@ -356,13 +357,11 @@ def test_eval_group_by_depth(workspace, tmp_path):
     assert report["aggregate"] is not None
 
 
-def test_eval_bootstrap_matches_module_oracle(workspace, tmp_path):
-    root, _, _ = workspace
-    from protfit.io import load_assay
-    # two synthetic assays with two models each
+def _two_model_eval_args(tmp_path):
+    """eval arguments for three synthetic assays scored by two models, and
+    each model's per-assay Spearman."""
     rng = np.random.default_rng(8)
-    assay_paths, score_a, score_b = [], [], []
-    spear_a, spear_b = [], []
+    args, spear_a, spear_b = [], [], []
     for k in range(3):
         apath = tmp_path / f"assay{k}.csv"
         mutants = [f"A{i + 1}G" for i in range(15)]
@@ -376,23 +375,37 @@ def test_eval_bootstrap_matches_module_oracle(workspace, tmp_path):
         pa, pb = tmp_path / f"a{k}.csv", tmp_path / f"b{k}.csv"
         _write_scores(pa, zip(mutants, sa))
         _write_scores(pb, zip(mutants, sb))
-        assay_paths.append(apath)
-        score_a.append(pa)
-        score_b.append(pb)
+        args += ["--assay", apath, "--scores", pa, "--scores-b", pb]
         spear_a.append(spearman(sa, dms))
         spear_b.append(spearman(sb, dms))
+    return args, spear_a, spear_b
+
+
+def test_eval_bootstrap_matches_module_oracle(tmp_path):
+    pairs, spear_a, spear_b = _two_model_eval_args(tmp_path)
     out = tmp_path / "report.json"
-    args = ["eval", "--out", out, "--format", "json", "--bootstrap", "4000",
-            "--seed", "17"]
-    for apath, pa, pb in zip(assay_paths, score_a, score_b):
-        args += ["--assay", apath, "--scores", pa, "--scores-b", pb]
-    proc = run_cli(*args)
+    proc = run_cli("eval", "--out", out, "--format", "json", "--bootstrap",
+                   "4000", "--seed", "17", *pairs)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(out.read_text())
     expected = bootstrap_diff_stderr(spear_a, spear_b, n_boot=4000, seed=17)
     assert payload["significance"]["spearman_diff_stderr"] == pytest.approx(expected)
     assert payload["significance"]["spearman_diff_mean"] == pytest.approx(
         float(np.mean(spear_a) - np.mean(spear_b)))
+
+
+def test_eval_negative_bootstrap_exits_2_and_zero_is_off(tmp_path):
+    pairs, _, _ = _two_model_eval_args(tmp_path)
+    out = tmp_path / "report.json"
+    proc = run_cli("eval", "--out", out, "--format", "json", "--bootstrap",
+                   "-5", *pairs)
+    assert proc.returncode == 2, proc.stderr
+    assert "bootstrap" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+    proc = run_cli("eval", "--out", out, "--format", "json", "--bootstrap",
+                   "0", *pairs)
+    assert proc.returncode == 0, proc.stderr
+    assert "significance" not in json.loads(out.read_text())
 
 
 def test_eval_missing_score_for_variant(workspace, tmp_path):

@@ -222,6 +222,12 @@ def test_bootstrap_deterministic():
     assert x != bootstrap_diff_stderr(a, b, n_boot=2000, seed=8)
 
 
+@pytest.mark.parametrize("n_boot", [0, -5])
+def test_bootstrap_needs_a_resample(n_boot):
+    with pytest.raises(DataError, match="bootstrap resamples"):
+        bootstrap_diff_stderr([0.4, 0.5, 0.6], [0.3, 0.2, 0.9], n_boot=n_boot)
+
+
 def test_bootstrap_matches_analytic_paired_oracle():
     a = np.array([0.42, 0.55, 0.61, 0.35, 0.50])
     b = np.array([0.40, 0.49, 0.66, 0.30, 0.44])
