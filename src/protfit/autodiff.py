@@ -114,9 +114,6 @@ class Tensor:
         else:
             self.grad = self.grad + grad
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self, grad=None):
         """Accumulate gradients of this (scalar) tensor w.r.t. every parent."""
         if grad is None:

@@ -31,11 +31,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON config file (defaults < file < flags)")
-    parser.add_argument("--seed", type=int, default=None)
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
+def _add_threads(parser):
     parser.add_argument("--threads", type=int, default=None,
                         help="cap BLAS thread count")
+
+
+def _add_common(parser):
+    parser.add_argument("--config", help="JSON config file (defaults < file < flags)")
+    parser.add_argument("--seed", type=_seed, default=None)
+    _add_threads(parser)
 
 
 def _add_surface_opts(parser):
@@ -62,7 +73,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     _add_surface_opts(p)
     _add_common(p)
-    p.set_defaults(func=cmd_surface)
+    p.set_defaults(func=cmd_surface, parser=p)
 
     p = sub.add_parser("pretrain", help="masked-residue pre-training")
     p.add_argument("corpus")
@@ -84,7 +95,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-normalize", action="store_true", default=None)
     _add_surface_opts(p)
     _add_common(p)
-    p.set_defaults(func=cmd_pretrain)
+    p.set_defaults(func=cmd_pretrain, parser=p)
 
     p = sub.add_parser("score", help="zero-shot variant scoring")
     p.add_argument("checkpoint")
@@ -105,7 +116,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cloud", help="precomputed base cloud dump")
     _add_surface_opts(p)
     _add_common(p)
-    p.set_defaults(func=cmd_score)
+    p.set_defaults(func=cmd_score, parser=p)
 
     p = sub.add_parser("eval", help="metric report over scored assays")
     p.add_argument("--scores", action="append", required=True)
@@ -119,13 +130,13 @@ def build_parser() -> _Parser:
     p.add_argument("--bootstrap", type=int, default=None,
                    help="bootstrap resamples for the significance block")
     _add_common(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, parser=p)
 
     p = sub.add_parser("embed-pack", help="pack a text matrix into S3FE binary")
     p.add_argument("matrix")
     p.add_argument("--out", required=True)
     p.add_argument("--tag", default=None, help="context tag footer")
-    _add_common(p)
+    _add_threads(p)
     p.set_defaults(func=cmd_embed_pack)
     return parser
 
@@ -133,6 +144,29 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # config resolution
 # ---------------------------------------------------------------------------
+
+def _check_file_value(action, value, default):
+    """Hold a config-file value to its flag's rules: a number that passes
+    the flag's type, one of its choices, or true/false for a store-true
+    flag. Null is allowed where the default is None."""
+    if value is None and default is None:
+        return
+    if action.nargs == 0:
+        ok = isinstance(value, bool)
+    elif action.type is not None:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if ok:
+            try:
+                action.type(str(value))
+            except (ValueError, argparse.ArgumentTypeError):
+                ok = False
+    else:
+        ok = isinstance(value, str) and (action.choices is None
+                                         or value in action.choices)
+    if not ok:
+        flag = "--" + action.dest.replace("_", "-")
+        raise UsageError(f"config value {value!r} is not valid for {flag}")
+
 
 def _resolve(args, defaults: dict) -> dict:
     """defaults < config file < explicitly set flags."""
@@ -145,9 +179,13 @@ def _resolve(args, defaults: dict) -> dict:
             overlay = json.loads(path.read_text())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"bad config file {path}: {exc}")
+        if not isinstance(overlay, dict):
+            raise UsageError(f"bad config file {path}: not a JSON object")
+        actions = {action.dest: action for action in args.parser._actions}
         for key, value in overlay.items():
             if key not in resolved:
                 raise UsageError(f"unknown config key {key!r}")
+            _check_file_value(actions[key], value, defaults[key])
             resolved[key] = value
     for key in resolved:
         flag = getattr(args, key, None)
@@ -206,7 +244,7 @@ def cmd_surface(args) -> int:
 
 def cmd_pretrain(args) -> int:
     from .gvp import ModelConfig
-    from .training import MaskingPolicy, TrainConfig, pretrain
+    from .training import TrainConfig, pretrain
     defaults = dict(
         _SURFACE_DEFAULTS, seed=0, mode="s3f", embedder="toy", epochs=100,
         batch_size=None, lr=1e-4, optimizer="adam", grad_clip=1.0,
@@ -223,11 +261,11 @@ def cmd_pretrain(args) -> int:
         epochs=resolved["epochs"], batch_size=resolved["batch_size"],
         learning_rate=resolved["lr"], optimizer=resolved["optimizer"],
         grad_clip=resolved["grad_clip"], seed=resolved["seed"],
-        mode=resolved["mode"], checkpoint_every=resolved["checkpoint_every"])
+        checkpoint_every=resolved["checkpoint_every"])
     surface_cfg = _surface_config(resolved)
     _, history = pretrain(
         args.corpus, model_cfg, train_cfg, surface_cfg, out_dir=args.out_dir,
-        policy=MaskingPolicy(), clouds_dir=args.clouds, resume=args.resume,
+        clouds_dir=args.clouds, resume=args.resume,
         header_lines=_header_lines(resolved))
     if history:
         print(f"pretrain done: {len(history)} steps, "
@@ -253,7 +291,7 @@ def _dir_embeddings_provider(directory, protein):
 def cmd_score(args) -> int:
     import dataclasses
 
-    from .gvp import load_checkpoint
+    from .gvp import SURFACE_MODES, load_checkpoint
     from .io import load_assay, load_external_scores, load_structure
     from .scoring import ensemble_zscores, score_assay, write_scores_csv
     from .surface import generate_surface, read_cloud_tsv, surface_features
@@ -268,7 +306,7 @@ def cmd_score(args) -> int:
     assay = load_assay(args.assay)
     mode = resolved["mode"] or model.config.mode
     base_cloud = None
-    if mode in ("s3f", "surf_only"):
+    if mode in SURFACE_MODES:
         if args.cloud:
             base_cloud = read_cloud_tsv(args.cloud)
             if base_cloud.features is None:

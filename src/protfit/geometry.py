@@ -25,30 +25,28 @@ _SLACK = 1e-9
 
 @dataclass(frozen=True)
 class RbfConfig:
-    """Radial basis featurization: Gaussians at evenly spaced centers."""
+    """Radial basis featurization: Gaussians at evenly spaced centers on
+    [0, max_d], each as wide as the center spacing."""
 
     n_kernels: int = 16
-    min_d: float = 0.0
     max_d: float = 20.0
-    gamma: float = None   # default: inverse squared center spacing
 
     def __post_init__(self):
         if self.n_kernels < 1:
             raise DataError("n_kernels must be >= 1")
-        if not self.min_d < self.max_d:
-            raise DataError("RBF range requires min_d < max_d")
-        if self.gamma is None:
-            if self.n_kernels > 1:
-                spacing = (self.max_d - self.min_d) / (self.n_kernels - 1)
-                object.__setattr__(self, "gamma", spacing ** -2)
-            else:
-                object.__setattr__(self, "gamma", 1.0)
-        if self.gamma <= 0:
-            raise DataError("gamma must be positive")
+        if not 0 < self.max_d < np.inf:
+            raise DataError(f"RBF range requires 0 < max_d < inf, got {self.max_d}")
 
     @property
     def centers(self) -> np.ndarray:
-        return np.linspace(self.min_d, self.max_d, self.n_kernels)
+        return np.linspace(0.0, self.max_d, self.n_kernels)
+
+    @property
+    def gamma(self) -> float:
+        """Inverse squared center spacing (1 for a single kernel)."""
+        if self.n_kernels == 1:
+            return 1.0
+        return (self.max_d / (self.n_kernels - 1)) ** -2
 
 
 def rbf_expand(d, cfg: RbfConfig = None) -> np.ndarray:

@@ -40,6 +40,8 @@ CHECKPOINT_MAGIC = b"S3FC"
 CHECKPOINT_VERSION = 1
 
 MODES = ("s2f", "s3f", "surf_only")
+STRUCTURE_MODES = ("s2f", "s3f")     # modes that run the residue-graph stack
+SURFACE_MODES = ("s3f", "surf_only")  # modes that run the surface stack
 MASK_TOKEN = N_RESIDUE_TYPES  # row index of the mask token in the toy table
 
 
@@ -116,7 +118,7 @@ class ModelConfig:
 
     @property
     def rbf(self) -> RbfConfig:
-        return RbfConfig(n_kernels=self.rbf_kernels, min_d=0.0, max_d=self.rbf_max)
+        return RbfConfig(n_kernels=self.rbf_kernels, max_d=self.rbf_max)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -322,12 +324,12 @@ class FitnessModel:
             self._param("embed.corrupt_table", rng.standard_normal(
                 (N_RESIDUE_TYPES, config.embed_dim)) / np.sqrt(config.embed_dim))
         self._linear(rng, "adapter", config.embed_dim, d)
-        if config.mode in ("s2f", "s3f"):
+        if config.mode in STRUCTURE_MODES:
             self.structure_blocks = [
                 self._block(rng, f"structure.{i}") for i in range(config.structure_layers)]
         else:
             self.structure_blocks = None
-        if config.mode in ("s3f", "surf_only"):
+        if config.mode in SURFACE_MODES:
             h = config.init_hidden
             self._linear(rng, "surface_init.inner1", d + 1, h)
             self._linear(rng, "surface_init.inner2", h, d)
@@ -387,11 +389,14 @@ class FitnessModel:
 
     def embed(self, protein: Protein, masked_positions,
               corruption: Corruption = None,
-              embeddings: ResidueEmbeddings = None,
-              allow_unmasked_embeddings: bool = False) -> Tensor:
-        """Initial residue scalar features (after the adapter)."""
+              embeddings: ResidueEmbeddings = None) -> Tensor:
+        """Initial residue scalar features (after the adapter). File-mode
+        rows must carry the masked positions' context tag; unmasked rows
+        (empty tag) pass only with a ``corruption``, which training gives on
+        every call and scoring never does."""
         cfg = self.config
         masked = np.asarray(sorted(int(p) for p in masked_positions), dtype=np.int64)
+        training = corruption is not None
         if corruption is None:
             corruption = Corruption(
                 corrupted_sequence=protein.sequence.copy(), mask_positions=masked)
@@ -411,7 +416,7 @@ class FitnessModel:
             expected = mask_context_tag(masked)
             if embeddings.context_tag == expected:
                 mixed = Tensor(embeddings.rows)
-            elif embeddings.context_tag == "" and allow_unmasked_embeddings:
+            elif embeddings.context_tag == "" and training:
                 # training-time substitution on unmasked rows: hide masked
                 # rows behind the trainable mask vector, corrupted rows
                 # behind the trainable corruption table
@@ -443,9 +448,9 @@ class FitnessModel:
     def _check_mode(self, mode: str):
         if mode not in MODES:
             raise DataError(f"unknown mode {mode!r}")
-        if mode in ("s2f", "s3f") and self.structure_blocks is None:
+        if mode in STRUCTURE_MODES and self.structure_blocks is None:
             raise DataError(f"model built for {self.config.mode!r} cannot run {mode!r}")
-        if mode in ("s3f", "surf_only") and self.surface_blocks is None:
+        if mode in SURFACE_MODES and self.surface_blocks is None:
             raise DataError(f"model built for {self.config.mode!r} cannot run {mode!r}")
 
     def forward_logits(self, protein: Protein, masked_positions, *,
@@ -453,8 +458,7 @@ class FitnessModel:
                        embeddings: ResidueEmbeddings = None,
                        cloud: SurfacePointCloud = None,
                        corruption: Corruption = None,
-                       structure_graph: SpatialGraph = None,
-                       allow_unmasked_embeddings: bool = False) -> Tensor:
+                       structure_graph: SpatialGraph = None) -> Tensor:
         """Log-softmax rows over the 20 residue types at the masked positions
         (sorted ascending).
 
@@ -475,9 +479,8 @@ class FitnessModel:
         if len(masked) and (masked[0] < 0 or masked[-1] >= n_r):
             raise DataError("masked position out of range")
         h0_scalar = self.embed(protein, masked, corruption=corruption,
-                               embeddings=embeddings,
-                               allow_unmasked_embeddings=allow_unmasked_embeddings)
-        if mode in ("s2f", "s3f"):
+                               embeddings=embeddings)
+        if mode in STRUCTURE_MODES:
             graph = structure_graph
             if graph is None:
                 graph = build_radius_graph(protein.ca_coords, cfg.radius_cutoff,
@@ -492,7 +495,7 @@ class FitnessModel:
             h_res = GvpState(
                 scalar=ad.gather(h0_scalar, masked),
                 vector=Tensor(np.zeros((len(masked), 3, cfg.vector_dim))))
-        if mode in ("s3f", "surf_only"):
+        if mode in SURFACE_MODES:
             if cloud is None or cloud.n_points == 0:
                 raise DataError(f"mode {mode!r} requires a surface cloud")
             if cloud.features is None:

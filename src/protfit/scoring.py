@@ -33,7 +33,7 @@ import numpy as np
 from .autodiff import no_grad
 from .errors import DataError, NumericsError
 from .geometry import build_radius_graph
-from .gvp import FitnessModel
+from .gvp import STRUCTURE_MODES, SURFACE_MODES, FitnessModel
 from .io import (AssayTable, MutationSet, Protein, ResidueEmbeddings,
                  format_mutation, load_external_scores, parse_mutation,
                  write_csv)
@@ -60,16 +60,14 @@ class VariantScore:
 
 def score_variant(model: FitnessModel, protein: Protein, mset: MutationSet,
                   embeddings: ResidueEmbeddings = None,
-                  cloud: SurfacePointCloud = None, mode: str = None,
-                  structure_graph=None) -> float:
+                  cloud: SurfacePointCloud = None, mode: str = None) -> float:
     """Joint-masked log-odds score; exactly 0 for the wild type (empty
     site set). The cloud, when given, must already be excised at the
     mutated sites."""
     if not mset.sites:
         return 0.0
     log_probs = _log_probs(model, protein, mset.positions, mode=mode,
-                           embeddings=embeddings, cloud=cloud,
-                           structure_graph=structure_graph)
+                           embeddings=embeddings, cloud=cloud)
     score = 0.0
     for row, (_, wt, mt) in zip(log_probs, mset.sites):
         score += float(row[mt]) - float(row[wt])
@@ -108,12 +106,14 @@ def score_assay(model: FitnessModel, protein: Protein, assay: AssayTable, *,
     ``embeddings_provider`` is a callable mapping a MutationSet to
     ResidueEmbeddings masked at its sites (file-mode models only).
     """
+    if not np.isfinite(plddt_threshold):
+        raise DataError(f"plddt_threshold must be finite, got {plddt_threshold}")
     mode = mode or model.config.mode
-    needs_surface = mode in ("s3f", "surf_only")
+    needs_surface = mode in SURFACE_MODES
     if needs_surface and base_cloud is None:
         raise DataError(f"mode {mode!r} requires a surface cloud")
     graph = None
-    if mode in ("s2f", "s3f"):
+    if mode in STRUCTURE_MODES:
         graph = build_radius_graph(protein.ca_coords, model.config.radius_cutoff,
                                    rbf=model.config.rbf)
     passes = {}   # masked position set (plus file-mode rows) -> log-prob rows

@@ -28,6 +28,7 @@ from .geometry import cross_knn
 from .io import Protein, read_text_lines
 
 _DEFAULT_HKS_TIMES = tuple(np.logspace(-0.5, 1.5, 4))
+_FIELD_CHUNK = 4096   # points per (points x atoms) distance block
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,10 @@ class SurfaceConfig:
             object.__setattr__(self, "level", 1.0 * self.atom_radius)
         if self.min_points > self.max_points:
             raise DataError("min_points must be <= max_points")
-        if min(self.atom_radius, self.smoothing, self.level) <= 0:
-            raise DataError("atom_radius, smoothing and level must be positive")
+        for name in ("atom_radius", "smoothing", "level"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise DataError(f"{name} must be finite and positive, "
+                                f"got {getattr(self, name)}")
         if min(self.seeds_per_atom, self.min_points, self.knn_k,
                self.curvature_k, self.hks_eigenpairs) < 1:
             raise DataError("surface counts must be positive")
@@ -90,14 +93,14 @@ class ExcisionMap:
 # ---------------------------------------------------------------------------
 
 def _field(points: np.ndarray, atoms: np.ndarray, smoothing: float,
-           with_grad: bool = False, chunk: int = 4096):
+           with_grad: bool = False):
     """Soft-min field values (and optionally gradients) at many points."""
     points = np.atleast_2d(points)
     m = len(points)
     f = np.empty(m)
     g = np.empty((m, 3)) if with_grad else None
-    for start in range(0, m, chunk):
-        stop = min(m, start + chunk)
+    for start in range(0, m, _FIELD_CHUNK):
+        stop = min(m, start + _FIELD_CHUNK)
         diff = points[start:stop, None, :] - atoms[None, :, :]
         d = np.maximum(np.linalg.norm(diff, axis=2), 1e-12)
         z = -d / smoothing
@@ -238,7 +241,7 @@ def _interior_mask(pts, normals, atoms, cfg: SurfaceConfig) -> np.ndarray:
     level = cfg.level
     ts = np.linspace(0.25 * level, 2.0 * level, 8)
     probes = pts[:, None, :] + ts[None, :, None] * normals[:, None, :]
-    f = _field(probes.reshape(-1, 3), atoms, cfg.smoothing).reshape(len(pts), -1)
+    f = _field(probes.reshape(-1, 3), atoms, cfg.smoothing).reshape(len(pts), len(ts))
     return (f < level - cfg.level_tol).any(axis=1)
 
 
@@ -271,11 +274,11 @@ def generate_surface(protein: Protein, cfg: SurfaceConfig = None,
             if key not in seen_cells:
                 seen_cells.add(key)
                 kept_pts.append(projected[row])
-        pts = np.array(kept_pts)
+        pts = np.array(kept_pts).reshape(-1, 3)   # (0, 3) if no seed converged
         _, grad = _field(pts, atoms, cfg.smoothing, with_grad=True)
         normals = grad / np.maximum(np.linalg.norm(grad, axis=1, keepdims=True), 1e-12)
         interior = _interior_mask(pts, normals, atoms, cfg)
-        outer = pts[~interior]
+        outer, outer_normals = pts[~interior], normals[~interior]
         if len(outer) >= cfg.min_points:
             break
     if len(outer) < cfg.min_points:
@@ -283,10 +286,8 @@ def generate_surface(protein: Protein, cfg: SurfaceConfig = None,
             f"degenerate surface: only {len(outer)} points, need {cfg.min_points}")
     if len(outer) > cfg.max_points:
         pick = np.round(np.linspace(0, len(outer) - 1, cfg.max_points)).astype(int)
-        outer = outer[pick]
-    _, grad = _field(outer, atoms, cfg.smoothing, with_grad=True)
-    normals = grad / np.linalg.norm(grad, axis=1, keepdims=True)
-    return SurfacePointCloud(points=outer, normals=normals)
+        outer, outer_normals = outer[pick], outer_normals[pick]
+    return SurfacePointCloud(points=outer, normals=outer_normals)
 
 
 # ---------------------------------------------------------------------------

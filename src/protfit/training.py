@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import DataError, NumericsError
 from .geometry import build_radius_graph
-from .gvp import Corruption, FitnessModel, ModelConfig, save_checkpoint
+from .gvp import (STRUCTURE_MODES, SURFACE_MODES, Corruption, FitnessModel,
+                  ModelConfig, save_checkpoint)
 from .io import (N_RESIDUE_TYPES, Protein, load_embeddings, load_structure,
                  write_csv)
 from .scoring import DEFAULT_EXCISE_M
@@ -36,15 +37,17 @@ MASK, RANDOM, KEEP = 0, 1, 2
 
 @dataclass(frozen=True)
 class MaskingPolicy:
+    """Selected positions are masked, randomized, or kept unchanged (the
+    remaining 1 - mask_rate - random_rate)."""
+
     select_rate: float = 0.15
     mask_rate: float = 0.80
     random_rate: float = 0.10
-    keep_rate: float = 0.10
-    excise_m: int = DEFAULT_EXCISE_M
 
     def __post_init__(self):
-        if abs(self.mask_rate + self.random_rate + self.keep_rate - 1.0) > 1e-9:
-            raise DataError("mask, random and keep rates must sum to 1")
+        if not (self.mask_rate >= 0 and self.random_rate >= 0
+                and self.mask_rate + self.random_rate <= 1):
+            raise DataError("mask and random rates must be >= 0 with a sum <= 1")
         if not 0 < self.select_rate <= 1:
             raise DataError("select_rate must be in (0, 1]")
 
@@ -54,32 +57,24 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = None        # default 8 in s3f mode, 128 otherwise
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    mode: str = "s3f"
     grad_clip: float = 1.0
     optimizer: str = "adam"       # adam | sgd
     checkpoint_every: int = 0     # epochs between checkpoints; 0 = final only
 
     def __post_init__(self):
-        if self.epochs < 0 or self.learning_rate <= 0:
-            raise DataError("epochs must be >= 0 and learning_rate positive")
+        if self.epochs < 0 or not 0 < self.learning_rate < np.inf:
+            raise DataError("epochs must be >= 0 and learning_rate finite and "
+                            f"positive, got {self.epochs} and {self.learning_rate}")
         if self.batch_size is not None and self.batch_size < 1:
             raise DataError("batch_size must be positive")
         if self.optimizer not in ("adam", "sgd"):
             raise DataError(f"unknown optimizer {self.optimizer!r}")
         # 0 turns clipping or periodic checkpoints off; negatives mean nothing
         for name in ("grad_clip", "checkpoint_every"):
-            if not getattr(self, name) >= 0:
-                raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-    @property
-    def resolved_batch_size(self) -> int:
-        if self.batch_size is not None:
-            return self.batch_size
-        return 8 if self.mode == "s3f" else 128
+            if not 0 <= getattr(self, name) < np.inf:
+                raise DataError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -124,26 +119,28 @@ def apply_mask(sequence, rng, policy: MaskingPolicy = None) -> MaskPlan:
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """First-order adaptive-moment optimizer; updates are a pure function
+    """First-order adaptive-moment optimizer with the published default
+    decay rates (Kingma & Ba, arXiv:1412.6980); updates are a pure function
     of (params, grads, moment state)."""
 
-    def __init__(self, params: dict, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, lr: float):
         self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, grads: dict):
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - self.BETA1 ** self.t
+        c2 = 1.0 - self.BETA2 ** self.t
         for name in sorted(self.params):
             g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            update = (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + self.eps)
+            self.m[name] = self.BETA1 * self.m[name] + (1 - self.BETA1) * g
+            self.v[name] = self.BETA2 * self.v[name] + (1 - self.BETA2) * g * g
+            update = (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + self.EPS)
             self.params[name].data = self.params[name].data - self.lr * update
 
     def state(self) -> dict:
@@ -177,12 +174,12 @@ class Sgd:
 def make_optimizer(model: FitnessModel, cfg: TrainConfig):
     if cfg.optimizer == "sgd":
         return Sgd(model.params, cfg.learning_rate)
-    return Adam(model.params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    return Adam(model.params, cfg.learning_rate)
 
 
 def clip_gradients(grads: dict, max_norm: float) -> dict:
-    """Scale gradients so their global norm is at most max_norm."""
-    if max_norm is None or max_norm <= 0:
+    """Scale gradients so their global norm is at most max_norm (0 = off)."""
+    if max_norm <= 0:
         return grads
     total = 0.0
     for name in sorted(grads):
@@ -220,11 +217,11 @@ def load_corpus(corpus_dir, model_cfg: ModelConfig, surface_cfg: SurfaceConfig,
     for path in paths:
         protein = load_structure(path)
         item = CorpusItem(protein=protein)
-        if mode in ("s2f", "s3f"):
+        if mode in STRUCTURE_MODES:
             item.graph = build_radius_graph(protein.ca_coords,
                                             model_cfg.radius_cutoff,
                                             rbf=model_cfg.rbf)
-        if mode in ("s3f", "surf_only"):
+        if mode in SURFACE_MODES:
             dump = None
             if clouds_dir is not None:
                 candidate = Path(clouds_dir) / f"{path.stem}.surface.tsv"
@@ -264,7 +261,8 @@ def pretrain_step(model: FitnessModel, batch: list, optimizer,
                   policy: MaskingPolicy, rng, mode: str,
                   grad_clip: float = 1.0):
     """One optimizer update over a batch of proteins. Returns the batch-mean
-    loss and masked-position accuracy."""
+    loss and masked-position accuracy. Raises NumericsError when the loss or
+    any updated parameter is non-finite."""
     if not batch:
         raise DataError("empty batch")
     model.zero_grad()
@@ -276,13 +274,13 @@ def pretrain_step(model: FitnessModel, batch: list, optimizer,
         protein = item.protein
         plan = apply_mask(protein.sequence, rng, policy)
         cloud = None
-        if mode in ("s3f", "surf_only"):
+        if mode in SURFACE_MODES:
             cloud, _ = excise_near_residue(
-                item.cloud, protein.ca_coords[plan.selected], policy.excise_m)
+                item.cloud, protein.ca_coords[plan.selected], DEFAULT_EXCISE_M)
         log_probs = model.forward_logits(
             protein, plan.selected, mode=mode, cloud=cloud,
             corruption=plan.corruption(), embeddings=item.embeddings,
-            structure_graph=item.graph, allow_unmasked_embeddings=True)
+            structure_graph=item.graph)
         targets = protein.sequence[plan.selected]
         loss = model.loss(log_probs, targets)
         (loss * scale).backward()
@@ -297,6 +295,12 @@ def pretrain_step(model: FitnessModel, batch: list, optimizer,
              for name, p in model.params.items()}
     grads = clip_gradients(grads, grad_clip)
     optimizer.step(grads)
+    bad = sorted(name for name, p in model.params.items()
+                 if not np.isfinite(p.data).all())
+    if bad:
+        raise NumericsError(
+            f"non-finite parameters after the update: {bad[:3]} "
+            f"({len(bad)} of {len(model.params)})")
     return total_loss, hits / max(count, 1)
 
 
@@ -362,21 +366,20 @@ def load_train_state(path):
 
 
 def pretrain(corpus_dir, model_cfg: ModelConfig, train_cfg: TrainConfig,
-             surface_cfg: SurfaceConfig = None, out_dir=None,
-             policy: MaskingPolicy = None, clouds_dir=None, resume=None,
-             header_lines=()):
+             surface_cfg: SurfaceConfig = None, out_dir=None, clouds_dir=None,
+             resume=None, header_lines=()):
     """Epoch loop with seeded shuffled batching and periodic checkpoints.
 
-    Returns (model, history) where history rows are
+    Trains in ``model_cfg.mode`` under the default MaskingPolicy. Returns
+    (model, history) where history rows are
     (epoch, step, loss, masked_acc). When out_dir is given, writes
     checkpoint.s3fc, checkpoint.state.npz, loss_log.csv and the periodic
     checkpoint_epochNNNN files there.
     """
     if surface_cfg is None:
         surface_cfg = SurfaceConfig()
-    if policy is None:
-        policy = MaskingPolicy()
-    mode = train_cfg.mode
+    policy = MaskingPolicy()
+    mode = model_cfg.mode
     items = load_corpus(corpus_dir, model_cfg, surface_cfg, mode,
                         surface_seed=train_cfg.seed, clouds_dir=clouds_dir)
     if resume is not None:
@@ -394,7 +397,7 @@ def pretrain(corpus_dir, model_cfg: ModelConfig, train_cfg: TrainConfig,
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     history = []
-    batch_size = train_cfg.resolved_batch_size
+    batch_size = train_cfg.batch_size or (8 if mode == "s3f" else 128)
 
     def checkpoint(tag: str):
         if out_dir is None:

@@ -31,7 +31,8 @@ from protfit.io import (AssayVariant, ResidueEmbeddings, load_assay,
                         load_structure, mask_context_tag)
 from protfit.metrics import (auc, bootstrap_diff_stderr, mcc, ndcg,
                              read_report_csv, spearman, top_fraction_recall)
-from protfit.scoring import ensemble_zscores, score_assay, score_variant
+from protfit.scoring import (DEFAULT_EXCISE_M, ensemble_zscores, score_assay,
+                             score_variant)
 from protfit.surface import (SurfaceConfig, SurfacePointCloud,
                              _field, _gaussian_curvature, excise_near_residue,
                              generate_surface, read_cloud_tsv,
@@ -184,8 +185,7 @@ def test_criterion_2_gradients():
 
     def file_loss():
         rows = filem.forward_logits(protein, [1, 4], mode="s3f", cloud=cloud,
-                                    corruption=corruption, embeddings=emb,
-                                    allow_unmasked_embeddings=True)
+                                    corruption=corruption, embeddings=emb)
         return filem.loss(rows, targets)
 
     worst_file, n_file = _grad_check_model(filem, file_loss)
@@ -477,7 +477,7 @@ def test_criterion_6_learnability(pipeline):
             plan = apply_mask(item.protein.sequence, rng, policy)
             cloud, _ = excise_near_residue(
                 item.cloud, item.protein.ca_coords[plan.selected],
-                policy.excise_m)
+                DEFAULT_EXCISE_M)
             rows = model.forward_logits(
                 item.protein, plan.selected, mode="s3f", cloud=cloud,
                 corruption=plan.corruption(), structure_graph=item.graph).data

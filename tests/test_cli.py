@@ -1,11 +1,15 @@
+import argparse
 import csv
 import json
+import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from protfit import cli
 from protfit.corpus import make_motif_corpus, make_synthetic_variants
 from protfit.gvp import load_checkpoint
 from protfit.io import load_structure
@@ -102,6 +106,22 @@ def test_surface_config_file_layering(workspace, tmp_path):
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("overlay", [
+    {"seeds_per_atom": "16"}, {"seeds_per_atom": 16.5}, {"smoothing": None},
+    {"paper_scale": "no"}, {"seed": -1}, ["min_points", 48]])
+def test_config_value_must_pass_its_flag_check(workspace, tmp_path, capsys,
+                                               overlay):
+    root, _, _ = workspace
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(overlay))
+    out = tmp_path / "c.tsv"
+    code = cli.main(["surface", str(root / "corpus" / "motif000.tsv"),
+                     "--out", str(out), "--config", str(cfg_file)])
+    assert code == 1
+    assert "config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_numpy_unloaded():
     """``main`` applies ``--threads`` before numpy loads, so importing the
     command-line module must not load it; package names still resolve."""
@@ -166,7 +186,8 @@ def test_pretrain_divergence_exits_3(workspace, tmp_path):
     ("--scalar-dim", "-5", "scalar_dim"), ("--scalar-dim", "0", "scalar_dim"),
     ("--layers", "-1", "structure_layers"), ("--vector-dim", "0", "vector_dim"),
     ("--embed-dim", "0", "embed_dim"), ("--grad-clip", "-1", "grad_clip"),
-    ("--checkpoint-every", "-1", "checkpoint_every")])
+    ("--checkpoint-every", "-1", "checkpoint_every"),
+    ("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate")])
 def test_pretrain_model_size_that_cannot_run_exits_2(workspace, tmp_path, flag,
                                                      value, field):
     root, _, _ = workspace
@@ -433,3 +454,76 @@ def test_embed_pack_round_trip(tmp_path):
     emb = load_embeddings(out)
     assert emb.context_tag == "masked:2"
     assert np.abs(emb.rows - matrix).max() < 1e-6
+    # --config and --seed would do nothing here, so they are not flags
+    for extra in (["--config", tmp_path / "none.json"], ["--seed", "-7"]):
+        proc = run_cli("embed-pack", src, "--out", tmp_path / "x.s3fe", *extra)
+        assert proc.returncode == 1
+        assert "unrecognized arguments" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# every numeric flag at its edge values
+# ---------------------------------------------------------------------------
+
+def _numeric_options():
+    """(command, flag) for every typed (int, float or seed) option of every
+    subcommand except --threads, which would start that many BLAS threads."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return [(name, action.option_strings[0])
+            for name, sub in commands.items() for action in sub._actions
+            if action.option_strings and action.type is not None
+            and action.dest != "threads"]
+
+
+def _base_argv(command, workspace, trained, out):
+    root, _, _ = workspace
+    structure = root / "corpus" / "motif000.tsv"
+    if command == "surface":
+        return ["surface", structure, "--out", out / "cloud.tsv", *SURFACE_FLAGS]
+    if command == "pretrain":
+        return ["pretrain", root / "corpus", "--out-dir", out, "--epochs", "1",
+                "--batch-size", "2", "--lr", "3e-3", *MODEL_FLAGS, *SURFACE_FLAGS]
+    if command == "score":
+        return ["score", trained, structure, root / "assay.csv",
+                "--out", out / "scores.csv", *SURFACE_FLAGS]
+    assert command == "eval"
+    return ["eval", *_two_model_eval_args(out)[0], "--out", out / "report.json",
+            "--format", "json", "--bootstrap", "20"]
+
+
+def _non_finite_outputs(folder):
+    """Files under ``folder`` holding a NaN or infinite number."""
+    bad = []
+    for path in sorted(p for p in folder.rglob("*") if p.is_file()):
+        if path.suffix == ".s3fc":
+            finite = all(np.isfinite(p.data).all()
+                         for p in load_checkpoint(path).params.values())
+        elif path.suffix == ".npz":
+            with np.load(path) as data:
+                finite = all(np.isfinite(data[k]).all() for k in data.files
+                             if data[k].dtype.kind == "f")
+        else:
+            finite = True
+            for token in re.split(r'[\s,=:{}\[\]"]+', path.read_text()):
+                try:
+                    finite = finite and math.isfinite(float(token))
+                except ValueError:
+                    pass
+        if not finite:
+            bad.append(path.name)
+    return bad
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command,flag", _numeric_options())
+def test_numeric_flag_edge_values_keep_the_exit_contract(
+        workspace, trained, tmp_path, command, flag, value):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = _base_argv(command, workspace, trained, out) + [flag, value]
+    code = cli.main([str(a) for a in argv])
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert _non_finite_outputs(out) == []

@@ -178,23 +178,23 @@ def test_cross_knn_rejects_too_few_refs():
 # ---------------------------------------------------------------------------
 
 def test_rbf_center_hits_one_exactly():
-    cfg = RbfConfig(n_kernels=4, min_d=0.0, max_d=6.0)
+    cfg = RbfConfig(n_kernels=4, max_d=6.0)
     out = rbf_expand(cfg.centers[0], cfg)
     assert out[0] == 1.0
 
 
 def test_rbf_inverse_width():
-    cfg = RbfConfig(n_kernels=3, min_d=0.0, max_d=10.0, gamma=0.25)
+    cfg = RbfConfig(n_kernels=3, max_d=10.0)
     d = cfg.centers[1] + 1.0 / np.sqrt(cfg.gamma)
     assert np.isclose(rbf_expand(d, cfg)[1], np.exp(-1.0), atol=1e-12)
 
 
 def test_rbf_reversed_centers_reverse_output():
-    cfg = RbfConfig(n_kernels=5, min_d=0.0, max_d=8.0)
-    rev = RbfConfig(n_kernels=5, min_d=0.0, max_d=8.0)
+    cfg = RbfConfig(n_kernels=5, max_d=8.0)
+    rev = RbfConfig(n_kernels=5, max_d=8.0)
     out = rbf_expand(3.3, cfg)
     # mirroring d about the center span reverses the response vector
-    mirrored = rbf_expand(cfg.min_d + cfg.max_d - 3.3, rev)
+    mirrored = rbf_expand(cfg.max_d - 3.3, rev)
     assert np.allclose(out, mirrored[::-1], atol=1e-12)
 
 
@@ -203,7 +203,7 @@ def test_rbf_reversed_centers_reverse_output():
 def test_rbf_output_in_unit_interval(d, n_kernels):
     # (0, 1] holds wherever exp does not underflow; distances beyond ~45 A
     # with narrow kernels round to exactly 0 in float64
-    out = rbf_expand(d, RbfConfig(n_kernels=n_kernels, min_d=0.0, max_d=20.0))
+    out = rbf_expand(d, RbfConfig(n_kernels=n_kernels, max_d=20.0))
     assert out.shape == (n_kernels,)
     assert (out > 0).all() and (out <= 1.0).all()
 

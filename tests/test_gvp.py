@@ -182,7 +182,7 @@ def test_message_passing_rigid_motion(rng):
 def test_two_node_block_matches_hand_evaluation(rng):
     """Straight-line numpy evaluation of one message+feedforward block."""
     d, dv, nk = 4, 2, 3
-    cfg = RbfConfig(n_kernels=nk, min_d=0.0, max_d=6.0)
+    cfg = RbfConfig(n_kernels=nk, max_d=6.0)
     coords = np.array([[0., 0, 0], [2., 0, 0]])
     graph = build_radius_graph(coords, 5.0, rbf=cfg)
     msg = random_gvp(rng, d + nk, dv + 1, d, dv)
@@ -473,7 +473,7 @@ def test_context_tag_guard():
         model.forward_logits(protein, [2, 3], embeddings=unmasked)
     # the training path substitutes trainable rows instead
     model.forward_logits(protein, [2, 3], embeddings=unmasked,
-                         allow_unmasked_embeddings=True)
+                         corruption=Corruption(protein.sequence, np.array([2, 3])))
 
 
 def test_mode_capability_checks():

@@ -394,7 +394,7 @@ def sample_dir(tmp_path_factory):
         mode="s2f", scalar_dim=2, vector_dim=1, structure_layers=1,
         embed_dim=2, rbf_kernels=2))
     gvp.save_checkpoint(model, root / "m.s3fc")
-    optimizer = training.make_optimizer(model, training.TrainConfig(mode="s2f"))
+    optimizer = training.make_optimizer(model, training.TrainConfig())
     training.save_train_state(root / "m.state.npz", model, optimizer,
                               np.random.default_rng(0), 1)
     for name, reader in READERS.items():

@@ -114,6 +114,11 @@ def test_degenerate_surface_rejected():
                         max_seed_rounds=1)
     with pytest.raises(DataError, match="degenerate surface"):
         generate_surface(protein, cfg, seed=0)
+    # no seed reaches a level this close to the atoms
+    tiny = SurfaceConfig(level=1e-300, min_points=4, seeds_per_atom=4,
+                         max_seed_rounds=1)
+    with pytest.raises(DataError, match="degenerate surface: only 0 points"):
+        generate_surface(make_coil_protein(6, seed=1), tiny, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ def tiny_setup(tmp_path, n_proteins=3, n_res=18, mode="s3f", seed=0):
     make_motif_corpus(corpus_dir, n_proteins=n_proteins, n_res=n_res, seed=seed)
     model_cfg = ModelConfig(mode=mode, seed=seed, **MODEL_KW)
     train_cfg = TrainConfig(epochs=2, batch_size=2, learning_rate=3e-3,
-                            seed=seed, mode=mode, checkpoint_every=1)
+                            seed=seed, checkpoint_every=1)
     return corpus_dir, model_cfg, train_cfg
 
 
@@ -32,8 +32,7 @@ def tiny_setup(tmp_path, n_proteins=3, n_res=18, mode="s3f", seed=0):
 # ---------------------------------------------------------------------------
 
 def test_apply_mask_full_selection():
-    policy = MaskingPolicy(select_rate=1.0, mask_rate=1.0, random_rate=0.0,
-                           keep_rate=0.0)
+    policy = MaskingPolicy(select_rate=1.0, mask_rate=1.0, random_rate=0.0)
     plan = apply_mask(np.arange(20) % 20, np.random.default_rng(0), policy)
     assert plan.selected.tolist() == list(range(20))
     assert (plan.actions == MASK).all()
@@ -73,8 +72,10 @@ def test_apply_mask_statistics_small():
 
 
 def test_policy_validation():
-    with pytest.raises(DataError):
-        MaskingPolicy(mask_rate=0.7, random_rate=0.1, keep_rate=0.1)
+    for mask_rate, random_rate in ((0.95, 0.1), (-0.1, 0.1), (np.nan, 0.1),
+                                   (0.8, np.nan)):
+        with pytest.raises(DataError):
+            MaskingPolicy(mask_rate=mask_rate, random_rate=random_rate)
     with pytest.raises(DataError):
         MaskingPolicy(select_rate=0.0)
 
@@ -144,7 +145,7 @@ def test_pretrain_step_deterministic():
     states = []
     for _ in range(2):
         model = FitnessModel(model_cfg)
-        opt = make_optimizer(model, TrainConfig(mode="s3f", learning_rate=1e-3))
+        opt = make_optimizer(model, TrainConfig(learning_rate=1e-3))
         item = _items_for(protein, model_cfg, "s3f")
         rng = np.random.default_rng(9)
         for _ in range(2):
@@ -158,7 +159,7 @@ def test_initial_loss_near_uniform_entropy():
     protein = make_coil_protein(24, seed=4)
     model_cfg = ModelConfig(mode="s2f", seed=5, **MODEL_KW)
     model = FitnessModel(model_cfg)
-    opt = make_optimizer(model, TrainConfig(mode="s2f"))
+    opt = make_optimizer(model, TrainConfig())
     item = _items_for(protein, model_cfg, "s2f")
     loss, _ = pretrain_step(model, [item], opt, MaskingPolicy(),
                             np.random.default_rng(1), "s2f")
@@ -189,11 +190,24 @@ def test_nonfinite_loss_aborts():
     model_cfg = ModelConfig(mode="s2f", seed=9, **MODEL_KW)
     model = FitnessModel(model_cfg)
     model.params["head.b"].data += np.inf
-    opt = make_optimizer(model, TrainConfig(mode="s2f"))
+    opt = make_optimizer(model, TrainConfig())
     item = _items_for(protein, model_cfg, "s2f")
     from protfit.errors import NumericsError
     with pytest.raises(NumericsError):
         pretrain_step(model, [item], opt, MaskingPolicy(),
+                      np.random.default_rng(0), "s2f")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_update_aborts():
+    # the loss is finite, so only the check after the update can catch this
+    protein = make_coil_protein(12, seed=8)
+    model_cfg = ModelConfig(mode="s2f", seed=9, **MODEL_KW)
+    model = FitnessModel(model_cfg)
+    item = _items_for(protein, model_cfg, "s2f")
+    from protfit.errors import NumericsError
+    with pytest.raises(NumericsError, match="non-finite parameters"):
+        pretrain_step(model, [item], Adam(model.params, np.inf), MaskingPolicy(),
                       np.random.default_rng(0), "s2f")
 
 
@@ -203,7 +217,7 @@ def test_nonfinite_loss_aborts():
 
 def test_pretrain_epochs_zero_equals_init(tmp_path):
     corpus_dir, model_cfg, train_cfg = tiny_setup(tmp_path)
-    train_cfg = TrainConfig(epochs=0, mode="s3f", seed=0)
+    train_cfg = TrainConfig(epochs=0, seed=0)
     model, history = pretrain(corpus_dir, model_cfg, train_cfg, SURF,
                               out_dir=tmp_path / "run")
     assert history == []
@@ -239,7 +253,7 @@ def _tiny_train_state(path, optimizer="adam"):
     model = FitnessModel(ModelConfig(mode="s2f", scalar_dim=2, vector_dim=1,
                                      structure_layers=1, embed_dim=2,
                                      rbf_kernels=2))
-    opt = make_optimizer(model, TrainConfig(mode="s2f", optimizer=optimizer))
+    opt = make_optimizer(model, TrainConfig(optimizer=optimizer))
     save_train_state(path, model, opt, np.random.default_rng(0), 1)
     return model
 
@@ -312,7 +326,7 @@ def test_single_protein_overfit():
                             **{**MODEL_KW, "scalar_dim": 24, "embed_dim": 64,
                                "init_hidden": 16})
     model = FitnessModel(model_cfg)
-    cfg = TrainConfig(mode="s2f", learning_rate=5e-3)
+    cfg = TrainConfig(learning_rate=5e-3)
     opt = make_optimizer(model, cfg)
     item = _items_for(protein, model_cfg, "s2f")
     rng = np.random.default_rng(12)
