@@ -31,21 +31,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _seed(text: str) -> int:
+def _non_negative(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
 def _add_threads(parser):
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS thread count")
+    parser.add_argument("--threads", type=_non_negative, default=None,
+                        help="cap BLAS thread count (0: no cap)")
 
 
 def _add_common(parser):
     parser.add_argument("--config", help="JSON config file (defaults < file < flags)")
-    parser.add_argument("--seed", type=_seed, default=None)
+    parser.add_argument("--seed", type=_non_negative, default=None)
     _add_threads(parser)
 
 
@@ -147,8 +147,9 @@ def build_parser() -> _Parser:
 
 def _check_file_value(action, value, default):
     """Hold a config-file value to its flag's rules: a number that passes
-    the flag's type, one of its choices, or true/false for a store-true
-    flag. Null is allowed where the default is None."""
+    the flag's type (and converts to a float, for a float flag), one of
+    its choices, or true/false for a store-true flag. Null is allowed
+    where the default is None."""
     if value is None and default is None:
         return
     if action.nargs == 0:
@@ -158,7 +159,9 @@ def _check_file_value(action, value, default):
         if ok:
             try:
                 action.type(str(value))
-            except (ValueError, argparse.ArgumentTypeError):
+                if action.type is float:
+                    float(value)   # an int too large parses from text as inf
+            except (ValueError, OverflowError, argparse.ArgumentTypeError):
                 ok = False
     else:
         ok = isinstance(value, str) and (action.choices is None
@@ -230,13 +233,12 @@ _SURFACE_DEFAULTS = {
 
 def cmd_surface(args) -> int:
     from .io import load_structure
-    from .surface import generate_surface, surface_features, write_cloud_tsv
+    from .surface import featured_cloud, write_cloud_tsv
     defaults = dict(_SURFACE_DEFAULTS, seed=0)
     resolved = _resolve(args, defaults)
     cfg = _surface_config(resolved)
     protein = load_structure(args.structure)
-    cloud = generate_surface(protein, cfg, seed=resolved["seed"])
-    cloud = cloud.with_features(surface_features(cloud, cfg))
+    cloud = featured_cloud(protein, cfg, resolved["seed"])
     write_cloud_tsv(cloud, args.out, header_lines=_header_lines(resolved))
     print(f"wrote {cloud.n_points} surface points to {args.out}")
     return 0
@@ -294,7 +296,7 @@ def cmd_score(args) -> int:
     from .gvp import SURFACE_MODES, load_checkpoint
     from .io import load_assay, load_external_scores, load_structure
     from .scoring import ensemble_zscores, score_assay, write_scores_csv
-    from .surface import generate_surface, read_cloud_tsv, surface_features
+    from .surface import featured_cloud
     defaults = dict(
         _SURFACE_DEFAULTS, seed=0, offset=0, mode=None,
         plddt_threshold=70.0, per_site_gating=False)
@@ -307,14 +309,8 @@ def cmd_score(args) -> int:
     mode = resolved["mode"] or model.config.mode
     base_cloud = None
     if mode in SURFACE_MODES:
-        if args.cloud:
-            base_cloud = read_cloud_tsv(args.cloud)
-            if base_cloud.features is None:
-                raise DataError(f"{args.cloud}: cloud dump lacks features")
-        else:
-            cfg = _surface_config(resolved)
-            base_cloud = generate_surface(protein, cfg, seed=resolved["seed"])
-            base_cloud = base_cloud.with_features(surface_features(base_cloud, cfg))
+        base_cloud = featured_cloud(protein, _surface_config(resolved),
+                                    resolved["seed"], dump=args.cloud)
     provider = None
     if model.config.embedder == "file":
         if not args.embeddings:
@@ -441,8 +437,11 @@ def cmd_embed_pack(args) -> int:
 
     from .io import read_text_lines, save_embeddings
     path = Path(args.matrix)
+    lines = read_text_lines(path)
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise DataError(f"{path}: matrix has no rows")
     try:
-        rows = np.loadtxt(read_text_lines(path), ndmin=2)
+        rows = np.loadtxt(lines, ndmin=2)
     except ValueError as exc:
         raise DataError(f"{path}: cannot parse matrix ({exc})")
     save_embeddings(args.out, rows, context_tag=args.tag or "")

@@ -457,8 +457,7 @@ class FitnessModel:
                        mode: str = None,
                        embeddings: ResidueEmbeddings = None,
                        cloud: SurfacePointCloud = None,
-                       corruption: Corruption = None,
-                       structure_graph: SpatialGraph = None) -> Tensor:
+                       corruption: Corruption = None) -> Tensor:
         """Log-softmax rows over the 20 residue types at the masked positions
         (sorted ascending).
 
@@ -481,10 +480,8 @@ class FitnessModel:
         h0_scalar = self.embed(protein, masked, corruption=corruption,
                                embeddings=embeddings)
         if mode in STRUCTURE_MODES:
-            graph = structure_graph
-            if graph is None:
-                graph = build_radius_graph(protein.ca_coords, cfg.radius_cutoff,
-                                           rbf=cfg.rbf)
+            graph = build_radius_graph(protein.ca_coords, cfg.radius_cutoff,
+                                       rbf=cfg.rbf)
             sets = receptive_sets(graph, masked, len(self.structure_blocks))
             state0 = GvpState(
                 scalar=ad.gather(h0_scalar, sets[0]),

@@ -32,8 +32,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .errors import DataError, NumericsError
-from .geometry import build_radius_graph
-from .gvp import STRUCTURE_MODES, SURFACE_MODES, FitnessModel
+from .gvp import SURFACE_MODES, FitnessModel
 from .io import (AssayTable, MutationSet, Protein, ResidueEmbeddings,
                  format_mutation, load_external_scores, parse_mutation,
                  write_csv)
@@ -112,10 +111,6 @@ def score_assay(model: FitnessModel, protein: Protein, assay: AssayTable, *,
     needs_surface = mode in SURFACE_MODES
     if needs_surface and base_cloud is None:
         raise DataError(f"mode {mode!r} requires a surface cloud")
-    graph = None
-    if mode in STRUCTURE_MODES:
-        graph = build_radius_graph(protein.ca_coords, model.config.radius_cutoff,
-                                   rbf=model.config.rbf)
     passes = {}   # masked position set (plus file-mode rows) -> log-prob rows
     results = []
     for variant in assay.variants:
@@ -131,14 +126,14 @@ def score_assay(model: FitnessModel, protein: Protein, assay: AssayTable, *,
         else:
             log_probs = _shared_pass(passes, model, protein, mset,
                                      embeddings_provider, base_cloud,
-                                     needs_surface, mode, graph)
+                                     needs_surface, mode)
             score, tags = _site_sum(log_probs, protein, mset, low, baseline)
         results.append(VariantScore(variant.mutant, score, tags))
     return results
 
 
 def _shared_pass(passes, model, protein, mset, embeddings_provider, base_cloud,
-                 needs_surface, mode, graph):
+                 needs_surface, mode):
     """Log-prob rows of the joint forward pass with every site of ``mset``
     masked (and the cloud excised around them), run on the first variant
     with its key and looked up in ``passes`` for the rest. File-mode rows
@@ -156,8 +151,7 @@ def _shared_pass(passes, model, protein, mset, embeddings_provider, base_cloud,
             cloud, _ = excise_near_residue(
                 base_cloud, protein.ca_coords[mset.positions], DEFAULT_EXCISE_M)
         log_probs = _log_probs(model, protein, mset.positions, mode=mode,
-                               embeddings=embeddings, cloud=cloud,
-                               structure_graph=graph)
+                               embeddings=embeddings, cloud=cloud)
         passes[key] = log_probs
     return log_probs
 

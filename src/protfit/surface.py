@@ -425,3 +425,17 @@ def read_cloud_tsv(path) -> SurfacePointCloud:
     features = data[:, 6:] if data.shape[1] > 6 else None
     return SurfacePointCloud(points=data[:, :3], normals=data[:, 3:6],
                              features=features)
+
+
+def featured_cloud(protein: Protein, cfg: SurfaceConfig, seed: int,
+                   dump=None) -> SurfacePointCloud:
+    """The protein's base cloud with its geometric features: read from the
+    ``dump`` path when one is given (it must carry feature columns), else
+    generated with ``cfg`` and ``seed`` and featurized."""
+    if dump:
+        cloud = read_cloud_tsv(dump)
+        if cloud.features is None:
+            raise DataError(f"{dump}: cloud dump lacks features")
+        return cloud
+    cloud = generate_surface(protein, cfg, seed=seed)
+    return cloud.with_features(surface_features(cloud, cfg))

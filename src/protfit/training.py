@@ -23,14 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericsError
-from .geometry import build_radius_graph
-from .gvp import (STRUCTURE_MODES, SURFACE_MODES, Corruption, FitnessModel,
-                  ModelConfig, save_checkpoint)
+from .gvp import (SURFACE_MODES, Corruption, FitnessModel, ModelConfig,
+                  save_checkpoint)
 from .io import (N_RESIDUE_TYPES, Protein, load_embeddings, load_structure,
                  write_csv)
 from .scoring import DEFAULT_EXCISE_M
-from .surface import (SurfaceConfig, excise_near_residue, generate_surface,
-                      read_cloud_tsv, surface_features)
+from .surface import SurfaceConfig, excise_near_residue, featured_cloud
 
 MASK, RANDOM, KEEP = 0, 1, 2
 
@@ -198,7 +196,6 @@ def clip_gradients(grads: dict, max_norm: float) -> dict:
 @dataclass
 class CorpusItem:
     protein: Protein
-    graph: object = None        # cached residue radius graph
     cloud: object = None        # base surface cloud with features
     embeddings: object = None   # file-mode rows (unmasked)
 
@@ -206,7 +203,9 @@ class CorpusItem:
 def load_corpus(corpus_dir, model_cfg: ModelConfig, surface_cfg: SurfaceConfig,
                 mode: str, surface_seed: int = 0, clouds_dir=None) -> list:
     """Load structures (and paired embeddings / cloud dumps by filename
-    stem), building the per-protein graph and surface cloud once."""
+    stem). In surface modes each protein gets its featured base cloud once:
+    ``clouds_dir/<stem>.surface.tsv`` when that dump exists, else one
+    generated from ``surface_cfg`` and ``surface_seed``."""
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
         raise DataError(f"corpus directory not found: {corpus_dir}")
@@ -217,26 +216,18 @@ def load_corpus(corpus_dir, model_cfg: ModelConfig, surface_cfg: SurfaceConfig,
     for path in paths:
         protein = load_structure(path)
         item = CorpusItem(protein=protein)
-        if mode in STRUCTURE_MODES:
-            item.graph = build_radius_graph(protein.ca_coords,
-                                            model_cfg.radius_cutoff,
-                                            rbf=model_cfg.rbf)
         if mode in SURFACE_MODES:
             dump = None
             if clouds_dir is not None:
-                candidate = Path(clouds_dir) / f"{path.stem}.surface.tsv"
-                if candidate.exists():
-                    dump = read_cloud_tsv(candidate)
-                    if dump.features is None:
-                        raise DataError(f"{candidate}: cloud dump lacks features")
-            if dump is None:
-                cloud = generate_surface(protein, surface_cfg, seed=surface_seed)
-                dump = cloud.with_features(surface_features(cloud, surface_cfg))
-            if dump.features.shape[1] != model_cfg.surface_feat_dim:
+                dump = Path(clouds_dir) / f"{path.stem}.surface.tsv"
+                if not dump.exists():
+                    dump = None
+            cloud = featured_cloud(protein, surface_cfg, surface_seed, dump=dump)
+            if cloud.features.shape[1] != model_cfg.surface_feat_dim:
                 raise DataError(
-                    f"{path.stem}: cloud feature dim {dump.features.shape[1]} "
+                    f"{path.stem}: cloud feature dim {cloud.features.shape[1]} "
                     f"!= model surface_feat_dim {model_cfg.surface_feat_dim}")
-            item.cloud = dump
+            item.cloud = cloud
         if model_cfg.embedder == "file":
             epath = corpus_dir / f"{path.stem}.s3fe"
             if not epath.exists():
@@ -279,8 +270,7 @@ def pretrain_step(model: FitnessModel, batch: list, optimizer,
                 item.cloud, protein.ca_coords[plan.selected], DEFAULT_EXCISE_M)
         log_probs = model.forward_logits(
             protein, plan.selected, mode=mode, cloud=cloud,
-            corruption=plan.corruption(), embeddings=item.embeddings,
-            structure_graph=item.graph)
+            corruption=plan.corruption(), embeddings=item.embeddings)
         targets = protein.sequence[plan.selected]
         loss = model.loss(log_probs, targets)
         (loss * scale).backward()

@@ -480,7 +480,7 @@ def test_criterion_6_learnability(pipeline):
                 DEFAULT_EXCISE_M)
             rows = model.forward_logits(
                 item.protein, plan.selected, mode="s3f", cloud=cloud,
-                corruption=plan.corruption(), structure_graph=item.graph).data
+                corruption=plan.corruption()).data
             tgt = item.protein.sequence[plan.selected]
             total_ce += float(-rows[np.arange(len(tgt)), tgt].sum())
             hits += int((rows.argmax(axis=1) == tgt).sum())

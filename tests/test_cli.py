@@ -2,9 +2,11 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from protfit.gvp import load_checkpoint
 from protfit.io import load_structure
 from protfit.metrics import bootstrap_diff_stderr, read_report_csv, spearman
 from protfit.scoring import read_scores_csv
-from protfit.surface import SurfaceConfig, _field, read_cloud_tsv
+from protfit.surface import (SurfaceConfig, _field, generate_surface,
+                             read_cloud_tsv, write_cloud_tsv)
 
 SURFACE_FLAGS = ["--min-points", "48", "--max-points", "128",
                  "--seeds-per-atom", "16"]
@@ -108,7 +111,8 @@ def test_surface_config_file_layering(workspace, tmp_path):
 
 @pytest.mark.parametrize("overlay", [
     {"seeds_per_atom": "16"}, {"seeds_per_atom": 16.5}, {"smoothing": None},
-    {"paper_scale": "no"}, {"seed": -1}, ["min_points", 48]])
+    {"paper_scale": "no"}, {"seed": -1}, ["min_points", 48],
+    {"atom_radius": 10 ** 400}])
 def test_config_value_must_pass_its_flag_check(workspace, tmp_path, capsys,
                                                overlay):
     root, _, _ = workspace
@@ -120,6 +124,16 @@ def test_config_value_must_pass_its_flag_check(workspace, tmp_path, capsys,
     assert code == 1
     assert "config" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["surface", "embed-pack"])
+def test_negative_threads_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    code = cli.main([command, str(tmp_path / "in.txt"),
+                     "--out", str(tmp_path / "out"), "--threads", "-1"])
+    assert code == 1
+    assert "--threads" in capsys.readouterr().err
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -332,6 +346,27 @@ def test_score_ablation_mode_override(workspace, trained, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("command", ["score", "pretrain"])
+def test_cloud_dump_without_features_exits_2(workspace, trained, tmp_path,
+                                             capsys, command):
+    root, _, _ = workspace
+    protein = load_structure(root / "corpus" / "motif000.tsv")
+    cloud = generate_surface(protein, SurfaceConfig(
+        min_points=48, max_points=128, seeds_per_atom=16))
+    dump = tmp_path / "motif000.surface.tsv"
+    write_cloud_tsv(cloud, dump)
+    if command == "score":
+        argv = ["score", trained, root / "corpus" / "motif000.tsv",
+                root / "assay.csv", "--out", tmp_path / "scores.csv",
+                "--cloud", dump]
+    else:
+        argv = ["pretrain", root / "corpus", "--out-dir", tmp_path / "run",
+                "--epochs", "1", *MODEL_FLAGS, *SURFACE_FLAGS,
+                "--clouds", tmp_path]
+    assert cli.main([str(a) for a in argv]) == 2
+    assert "lacks features" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -461,13 +496,27 @@ def test_embed_pack_round_trip(tmp_path):
         assert "unrecognized arguments" in proc.stderr
 
 
+@pytest.mark.parametrize("text", ["", "# header only\n\n"])
+def test_embed_pack_matrix_without_rows_exits_2(tmp_path, capsys, text):
+    src = tmp_path / "m.txt"
+    src.write_text(text)
+    out = tmp_path / "m.s3fe"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["embed-pack", str(src), "--out", str(out)])
+    assert code == 2
+    assert "no rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # every numeric flag at its edge values
 # ---------------------------------------------------------------------------
 
 def _numeric_options():
-    """(command, flag) for every typed (int, float or seed) option of every
-    subcommand except --threads, which would start that many BLAS threads."""
+    """(command, flag) for every typed (int, float or non-negative int)
+    option of every subcommand except --threads, which would start that
+    many BLAS threads."""
     parser = cli.build_parser()
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices

@@ -451,13 +451,6 @@ def test_ablation_consistency(rng):
     s2f_b = model.forward_logits(protein, [2], mode="s2f", cloud=cloud_b).data
     assert np.array_equal(s2f_a, s2f_b)
 
-    other_graph = build_radius_graph(np.random.default_rng(1).uniform(0, 9, (10, 3)),
-                                     10.0, rbf=model.config.rbf)
-    surf_a = model.forward_logits(protein, [2], mode="surf_only", cloud=cloud_a).data
-    surf_b = model.forward_logits(protein, [2], mode="surf_only", cloud=cloud_a,
-                                  structure_graph=other_graph).data
-    assert np.array_equal(surf_a, surf_b)
-
 
 def test_context_tag_guard():
     protein = make_coil_protein(6, seed=10)

@@ -4,9 +4,10 @@ import pytest
 from conftest import make_coil_protein
 from protfit.corpus import make_motif_corpus, make_motif_protein
 from protfit.errors import DataError
-from protfit.geometry import build_radius_graph
 from protfit.gvp import FitnessModel, ModelConfig, load_checkpoint
-from protfit.surface import SurfaceConfig, excise_near_residue, generate_surface, surface_features
+from protfit.io import load_structure
+from protfit.surface import (SurfaceConfig, excise_near_residue, generate_surface,
+                             read_cloud_tsv, surface_features, write_cloud_tsv)
 from protfit.training import (Adam, CorpusItem, MASK, KEEP, RANDOM,
                               MaskingPolicy, TrainConfig, apply_mask,
                               clip_gradients, load_corpus, load_train_state,
@@ -127,12 +128,8 @@ def test_clip_gradients_norm():
 # steps
 # ---------------------------------------------------------------------------
 
-def _items_for(protein, model_cfg, mode):
+def _items_for(protein, mode):
     item = CorpusItem(protein=protein)
-    if mode in ("s2f", "s3f"):
-        item.graph = build_radius_graph(protein.ca_coords,
-                                        model_cfg.radius_cutoff,
-                                        rbf=model_cfg.rbf)
     if mode in ("s3f", "surf_only"):
         cloud = generate_surface(protein, SURF, seed=0)
         item.cloud = cloud.with_features(surface_features(cloud, SURF))
@@ -146,7 +143,7 @@ def test_pretrain_step_deterministic():
     for _ in range(2):
         model = FitnessModel(model_cfg)
         opt = make_optimizer(model, TrainConfig(learning_rate=1e-3))
-        item = _items_for(protein, model_cfg, "s3f")
+        item = _items_for(protein, "s3f")
         rng = np.random.default_rng(9)
         for _ in range(2):
             pretrain_step(model, [item], opt, MaskingPolicy(), rng, "s3f")
@@ -160,7 +157,7 @@ def test_initial_loss_near_uniform_entropy():
     model_cfg = ModelConfig(mode="s2f", seed=5, **MODEL_KW)
     model = FitnessModel(model_cfg)
     opt = make_optimizer(model, TrainConfig())
-    item = _items_for(protein, model_cfg, "s2f")
+    item = _items_for(protein, "s2f")
     loss, _ = pretrain_step(model, [item], opt, MaskingPolicy(),
                             np.random.default_rng(1), "s2f")
     assert abs(loss - np.log(20.0)) < 0.2
@@ -191,7 +188,7 @@ def test_nonfinite_loss_aborts():
     model = FitnessModel(model_cfg)
     model.params["head.b"].data += np.inf
     opt = make_optimizer(model, TrainConfig())
-    item = _items_for(protein, model_cfg, "s2f")
+    item = _items_for(protein, "s2f")
     from protfit.errors import NumericsError
     with pytest.raises(NumericsError):
         pretrain_step(model, [item], opt, MaskingPolicy(),
@@ -204,7 +201,7 @@ def test_nonfinite_update_aborts():
     protein = make_coil_protein(12, seed=8)
     model_cfg = ModelConfig(mode="s2f", seed=9, **MODEL_KW)
     model = FitnessModel(model_cfg)
-    item = _items_for(protein, model_cfg, "s2f")
+    item = _items_for(protein, "s2f")
     from protfit.errors import NumericsError
     with pytest.raises(NumericsError, match="non-finite parameters"):
         pretrain_step(model, [item], Adam(model.params, np.inf), MaskingPolicy(),
@@ -318,6 +315,29 @@ def test_corpus_embedding_mismatch_rejected(tmp_path):
         load_corpus(corpus_dir, file_cfg, SURF, "s2f")
 
 
+def test_load_corpus_generates_clouds_missing_from_clouds_dir(tmp_path):
+    """A dump is read for the protein that has one; every other protein
+    gets the cloud generated and featurized with the same config and seed."""
+    corpus_dir, model_cfg, _ = tiny_setup(tmp_path)
+    paths = sorted(corpus_dir.glob("*.tsv"))
+    clouds_dir = tmp_path / "clouds"
+    clouds_dir.mkdir()
+    dumped = generate_surface(load_structure(paths[1]), SURF, seed=5)
+    dumped = dumped.with_features(surface_features(dumped, SURF))
+    write_cloud_tsv(dumped, clouds_dir / f"{paths[1].stem}.surface.tsv")
+    items = load_corpus(corpus_dir, model_cfg, SURF, "s3f", surface_seed=3,
+                        clouds_dir=clouds_dir)
+    assert len(items) == len(paths) == 3
+    for path, item in zip(paths, items):
+        if path == paths[1]:
+            want = read_cloud_tsv(clouds_dir / f"{path.stem}.surface.tsv")
+        else:
+            want = generate_surface(item.protein, SURF, seed=3)
+            want = want.with_features(surface_features(want, SURF))
+        for name in ("points", "normals", "features"):
+            assert np.array_equal(getattr(item.cloud, name), getattr(want, name))
+
+
 def test_single_protein_overfit():
     """500 steps on one small protein memorize its sequence, including
     positions shown as the mask token or a wrong random type."""
@@ -328,7 +348,7 @@ def test_single_protein_overfit():
     model = FitnessModel(model_cfg)
     cfg = TrainConfig(learning_rate=5e-3)
     opt = make_optimizer(model, cfg)
-    item = _items_for(protein, model_cfg, "s2f")
+    item = _items_for(protein, "s2f")
     rng = np.random.default_rng(12)
     policy = MaskingPolicy()
     for _ in range(500):
@@ -338,8 +358,7 @@ def test_single_protein_overfit():
     for _ in range(80):
         plan = apply_mask(protein.sequence, eval_rng, policy)
         rows = model.forward_logits(protein, plan.selected, mode="s2f",
-                                    corruption=plan.corruption(),
-                                    structure_graph=item.graph).data
+                                    corruption=plan.corruption()).data
         targets = protein.sequence[plan.selected]
         hits += int((rows.argmax(axis=1) == targets).sum())
         total += len(targets)
