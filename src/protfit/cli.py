@@ -128,7 +128,8 @@ def build_parser() -> _Parser:
     p.add_argument("--scores-b", action="append",
                    help="second model's score CSVs (for --bootstrap)")
     p.add_argument("--bootstrap", type=int, default=None,
-                   help="bootstrap resamples for the significance block")
+                   help="bootstrap resamples for the significance block "
+                        "(needs --scores-b)")
     _add_common(p)
     p.set_defaults(func=cmd_eval, parser=p)
 
@@ -295,11 +296,12 @@ def cmd_score(args) -> int:
 
     from .gvp import SURFACE_MODES, load_checkpoint
     from .io import load_assay, load_external_scores, load_structure
-    from .scoring import ensemble_zscores, score_assay, write_scores_csv
+    from .scoring import (DEFAULT_PLDDT_THRESHOLD, ensemble_zscores,
+                          score_assay, write_scores_csv)
     from .surface import featured_cloud
     defaults = dict(
         _SURFACE_DEFAULTS, seed=0, offset=0, mode=None,
-        plddt_threshold=70.0, per_site_gating=False)
+        plddt_threshold=DEFAULT_PLDDT_THRESHOLD, per_site_gating=False)
     resolved = _resolve(args, defaults)
     model = load_checkpoint(args.checkpoint)
     protein = load_structure(args.structure)
@@ -369,6 +371,8 @@ def cmd_eval(args) -> int:
         raise UsageError("--scores and --assay must be paired one to one")
     if args.scores_b and len(args.scores_b) != len(args.assay):
         raise UsageError("--scores-b must pair with --assay one to one")
+    if resolved["bootstrap"] and not args.scores_b:
+        raise UsageError("--bootstrap compares two models and needs --scores-b")
 
     def aligned(scores_path, assay, assay_path):
         table = load_external_scores(scores_path)
@@ -416,7 +420,7 @@ def cmd_eval(args) -> int:
         groups[key] = {m: agg[m] for m in METRIC_COLUMNS}
         groups[key]["n_variants"] = agg["n_variants"]
     significance = None
-    if args.scores_b and resolved["bootstrap"]:
+    if resolved["bootstrap"]:
         significance = {
             "spearman_diff_mean": float(np.mean(spear_a) - np.mean(spear_b)),
             "spearman_diff_stderr": bootstrap_diff_stderr(

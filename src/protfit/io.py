@@ -456,20 +456,26 @@ def load_assay(path, protein_id: str = None) -> AssayTable:
             raise DataError(f"{path}: missing mandatory column {col!r}")
     has_bin = "DMS_score_bin" in header
     variants = []
+    seen = set()
     for i, row in enumerate(rows, start=2):
+        mutant = row["mutant"].strip()
+        if mutant in seen:
+            raise DataError(f"{path} row {i}: duplicate mutant {mutant!r}")
+        seen.add(mutant)
         try:
             score = float(row["DMS_score"])
         except ValueError:
             raise DataError(f"{path} row {i}: unparseable DMS_score") from None
-        if math.isnan(score):
-            raise DataError(f"{path} row {i}: NaN DMS_score")
+        if not math.isfinite(score):
+            raise DataError(f"{path} row {i}: non-finite (NaN or infinite) "
+                            f"DMS_score {score!r}")
         dms_bin = None
         if has_bin:
             raw = row["DMS_score_bin"].strip()
             if raw not in ("0", "1"):
                 raise DataError(f"{path} row {i}: DMS_score_bin must be 0 or 1")
             dms_bin = int(raw)
-        variants.append(AssayVariant(row["mutant"].strip(), score, dms_bin))
+        variants.append(AssayVariant(mutant, score, dms_bin))
     return AssayTable(protein_id=protein_id or path.stem, variants=tuple(variants))
 
 

@@ -6,9 +6,13 @@ mode, the cloud excised around those positions) yields per-site rows,
 and the score adds log p(mutant) - log p(wild type) across sites, left
 to right. That pass depends only on the masked position set (and, for
 file-mode models, on the embedding rows the provider returns), so
-``score_assay`` runs it once per distinct set and reuses its rows for
-every variant on the set: the 19 substitutions at one site of a
-saturation assay share one pass. Each pass computes only the masked rows,
+``score_assay`` first routes every variant, grouping the model-scored
+ones by position set, then scores one group at a time: one excision and
+one pass per set (per distinct provider rows in file mode), shared by
+every variant on it. The 19 substitutions at one site of a saturation
+assay share one pass. A set's log-prob and embedding rows live only
+while its group is scored, so memory does not grow with the number of
+sets. Each pass computes only the masked rows,
 running both GVP stacks on their receptive field (see
 ``FitnessModel.forward_logits``): its message passing grows with the
 sites' neighbourhoods, not with the protein and its cloud, though the
@@ -67,10 +71,7 @@ def score_variant(model: FitnessModel, protein: Protein, mset: MutationSet,
         return 0.0
     log_probs = _log_probs(model, protein, mset.positions, mode=mode,
                            embeddings=embeddings, cloud=cloud)
-    score = 0.0
-    for row, (_, wt, mt) in zip(log_probs, mset.sites):
-        score += float(row[mt]) - float(row[wt])
-    return score
+    return _site_sum(log_probs, protein, mset, [False] * len(mset), None)[0]
 
 
 def _log_probs(model, protein, positions, **kwargs) -> np.ndarray:
@@ -83,10 +84,10 @@ def _log_probs(model, protein, positions, **kwargs) -> np.ndarray:
     return log_probs
 
 
-def _baseline_lookup(baseline: dict, key: str, what: str) -> float:
+def _baseline_lookup(baseline: dict, key: str) -> float:
     if baseline is None:
         raise DataError(
-            f"baseline scores required for {what} (site below the pLDDT "
+            f"baseline scores required for {key} (site below the pLDDT "
             f"threshold) but none were supplied")
     if key not in baseline:
         raise DataError(f"baseline scores missing entry for {key!r}")
@@ -108,52 +109,43 @@ def score_assay(model: FitnessModel, protein: Protein, assay: AssayTable, *,
     if not np.isfinite(plddt_threshold):
         raise DataError(f"plddt_threshold must be finite, got {plddt_threshold}")
     mode = mode or model.config.mode
-    needs_surface = mode in SURFACE_MODES
-    if needs_surface and base_cloud is None:
+    if mode in SURFACE_MODES and base_cloud is None:
         raise DataError(f"mode {mode!r} requires a surface cloud")
-    passes = {}   # masked position set (plus file-mode rows) -> log-prob rows
-    results = []
-    for variant in assay.variants:
+    results = [None] * len(assay.variants)
+    groups = {}   # masked position set -> [(index, mset, low)], assay order
+    for i, variant in enumerate(assay.variants):
         mset = parse_mutation(variant.mutant, protein)
         if not mset.sites:
-            results.append(VariantScore(variant.mutant, 0.0, ()))
+            results[i] = VariantScore(variant.mutant, 0.0, ())
             continue
-        positions = np.array(mset.positions)
-        low = protein.plddt[positions] < plddt_threshold
+        low = protein.plddt[mset.positions] < plddt_threshold
         if low.all() or (low.any() and not per_site_gating):
-            score = _baseline_lookup(baseline, variant.mutant, variant.mutant)
-            tags = ("baseline",) * len(mset)
+            results[i] = VariantScore(variant.mutant,
+                                      _baseline_lookup(baseline, variant.mutant),
+                                      ("baseline",) * len(mset))
         else:
-            log_probs = _shared_pass(passes, model, protein, mset,
-                                     embeddings_provider, base_cloud,
-                                     needs_surface, mode)
-            score, tags = _site_sum(log_probs, protein, mset, low, baseline)
-        results.append(VariantScore(variant.mutant, score, tags))
-    return results
-
-
-def _shared_pass(passes, model, protein, mset, embeddings_provider, base_cloud,
-                 needs_surface, mode):
-    """Log-prob rows of the joint forward pass with every site of ``mset``
-    masked (and the cloud excised around them), run on the first variant
-    with its key and looked up in ``passes`` for the rest. File-mode rows
-    join the key, so only identical provider rows share a pass."""
-    key = tuple(mset.positions)
-    embeddings = None
-    if embeddings_provider is not None:
-        embeddings = embeddings_provider(mset)
-        key = (key, embeddings.context_tag, embeddings.rows.shape,
-               embeddings.rows.tobytes())
-    log_probs = passes.get(key)
-    if log_probs is None:
+            groups.setdefault(tuple(mset.positions), []).append((i, mset, low))
+    for positions, members in groups.items():
+        positions = list(positions)
         cloud = None
-        if needs_surface:
+        if mode in SURFACE_MODES:
             cloud, _ = excise_near_residue(
-                base_cloud, protein.ca_coords[mset.positions], DEFAULT_EXCISE_M)
-        log_probs = _log_probs(model, protein, mset.positions, mode=mode,
-                               embeddings=embeddings, cloud=cloud)
-        passes[key] = log_probs
-    return log_probs
+                base_cloud, protein.ca_coords[positions], DEFAULT_EXCISE_M)
+        # One pass per distinct provider rows (file mode); the toy embedder
+        # needs none, so its set shares one pass under the key None.
+        passes = {}
+        for i, mset, low in members:
+            embeddings = key = None
+            if embeddings_provider is not None:
+                embeddings = embeddings_provider(mset)
+                key = (embeddings.context_tag, embeddings.rows.shape,
+                       embeddings.rows.tobytes())
+            if key not in passes:
+                passes[key] = _log_probs(model, protein, positions, mode=mode,
+                                         embeddings=embeddings, cloud=cloud)
+            score, tags = _site_sum(passes[key], protein, mset, low, baseline)
+            results[i] = VariantScore(assay.variants[i].mutant, score, tags)
+    return results
 
 
 def _site_sum(log_probs, protein, mset, low, baseline):
@@ -165,7 +157,7 @@ def _site_sum(log_probs, protein, mset, low, baseline):
         if is_low:
             site_key = format_mutation(MutationSet(((pos, wt, mt),)),
                                        offset=protein.chain_offset)
-            score += _baseline_lookup(baseline, site_key, site_key)
+            score += _baseline_lookup(baseline, site_key)
             tags.append("baseline")
         else:
             score += float(row[mt]) - float(row[wt])

@@ -259,9 +259,11 @@ def generate_surface(protein: Protein, cfg: SurfaceConfig = None,
     frames = _seed_frames(atoms)
     center, axes = _canonical_frame(atoms)
     spacing = cfg.level / 4.0
-    seen_cells = set()
-    kept_pts = []
-    outer = np.empty((0, 3))
+    # Kept points with their grid cells, normals and interior verdicts; a
+    # round adds only points in cells not seen before, in seed order.
+    cells = np.empty((0, 3), dtype=np.int64)
+    pts = normals = outer = np.empty((0, 3))
+    interior = np.empty(0, dtype=bool)
     for _ in range(cfg.max_seed_rounds):
         local = rng.standard_normal((len(atoms), cfg.seeds_per_atom, 3))
         local /= np.maximum(np.linalg.norm(local, axis=2, keepdims=True), 1e-12)
@@ -269,15 +271,19 @@ def generate_surface(protein: Protein, cfg: SurfaceConfig = None,
         seeds = (atoms[:, None, :] + cfg.level * dirs).reshape(-1, 3)
         projected = _project_to_level(seeds, atoms, cfg)
         canon = (projected - center) @ axes
-        cells = np.floor(canon / spacing).astype(np.int64)
-        for row, key in enumerate(map(tuple, cells)):
-            if key not in seen_cells:
-                seen_cells.add(key)
-                kept_pts.append(projected[row])
-        pts = np.array(kept_pts).reshape(-1, 3)   # (0, 3) if no seed converged
-        _, grad = _field(pts, atoms, cfg.smoothing, with_grad=True)
-        normals = grad / np.maximum(np.linalg.norm(grad, axis=1, keepdims=True), 1e-12)
-        interior = _interior_mask(pts, normals, atoms, cfg)
+        new_cells = np.floor(canon / spacing).astype(np.int64)
+        _, first = np.unique(np.concatenate([cells, new_cells]), axis=0,
+                             return_index=True)
+        fresh = np.sort(first[first >= len(cells)]) - len(cells)
+        new_pts = projected[fresh]
+        _, grad = _field(new_pts, atoms, cfg.smoothing, with_grad=True)
+        new_normals = grad / np.maximum(
+            np.linalg.norm(grad, axis=1, keepdims=True), 1e-12)
+        cells = np.concatenate([cells, new_cells[fresh]])
+        pts = np.concatenate([pts, new_pts])
+        normals = np.concatenate([normals, new_normals])
+        interior = np.concatenate(
+            [interior, _interior_mask(new_pts, new_normals, atoms, cfg)])
         outer, outer_normals = pts[~interior], normals[~interior]
         if len(outer) >= cfg.min_points:
             break

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from protfit import cli
 from protfit.corpus import make_motif_corpus, make_synthetic_variants
-from protfit.gvp import load_checkpoint
+from protfit.gvp import ModelConfig, load_checkpoint
 from protfit.io import load_structure
 from protfit.metrics import bootstrap_diff_stderr, read_report_csv, spearman
 from protfit.scoring import read_scores_csv
@@ -220,6 +221,22 @@ def test_pretrain_s2f_checkpoint_has_no_surface_tensors(workspace, tmp_path):
     model = load_checkpoint(tmp_path / "s2f" / "checkpoint.s3fc")
     assert not any(name.startswith(("surface.", "surface_init."))
                    for name in model.params)
+
+
+def test_pretrain_defaults_are_the_model_config_defaults(workspace, tmp_path):
+    root, _, _ = workspace
+    code = cli.main([str(a) for a in ("pretrain", root / "corpus", "--out-dir",
+                                      tmp_path, "--epochs", "0", *SURFACE_FLAGS)])
+    assert code == 0
+    assert load_checkpoint(tmp_path / "checkpoint.s3fc").config == ModelConfig()
+
+
+def test_surface_defaults_are_the_surface_config_defaults():
+    fields = {f.name: f.default for f in dataclasses.fields(SurfaceConfig)}
+    shared = cli._SURFACE_DEFAULTS.keys() & fields.keys()
+    assert shared == cli._SURFACE_DEFAULTS.keys() - {"paper_scale"}
+    assert {k: cli._SURFACE_DEFAULTS[k] for k in shared} == {
+        k: fields[k] for k in shared}
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +479,22 @@ def test_eval_negative_bootstrap_exits_2_and_zero_is_off(tmp_path):
                    "0", *pairs)
     assert proc.returncode == 0, proc.stderr
     assert "significance" not in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_eval_bootstrap_without_scores_b_is_usage_error(tmp_path, capsys, source):
+    pairs, _, _ = _two_model_eval_args(tmp_path)
+    one_model = [a for i, a in enumerate(pairs) if i % 6 < 4]   # no --scores-b
+    if source == "flag":
+        extra = ["--bootstrap", "100"]
+    else:
+        (tmp_path / "boot.json").write_text('{"bootstrap": 100}')
+        extra = ["--config", tmp_path / "boot.json"]
+    out = tmp_path / "report.json"
+    code = cli.main([str(a) for a in ("eval", "--out", out, *one_model, *extra)])
+    assert code == 1
+    assert "--scores-b" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_missing_score_for_variant(workspace, tmp_path):

@@ -267,6 +267,21 @@ def test_load_assay_rejects_nan(tmp_path):
         load_assay(path)
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e999"])
+def test_load_assay_rejects_infinite_score(tmp_path, value):
+    path = tmp_path / "a.csv"
+    path.write_text(f"mutant,DMS_score\nA1G,0.5\nC2D,{value}\n")
+    with pytest.raises(DataError, match=r"a\.csv row 3: non-finite"):
+        load_assay(path)
+
+
+def test_load_assay_rejects_duplicate_mutant(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("mutant,DMS_score\nA3C,1.0\nC4D,0.5\n A3C ,2.0\n")
+    with pytest.raises(DataError, match=r"a\.csv row 4: duplicate mutant 'A3C'"):
+        load_assay(path)
+
+
 def test_external_scores_single(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("mutant,score\nA24G,0.5\n")

@@ -280,6 +280,34 @@ def test_file_mode_shares_only_identical_rows():
                                          embeddings=provider(mset))
 
 
+def test_file_mode_rows_live_only_while_their_set_is_scored():
+    """Provider rows (1 MiB per call, a fresh copy each time) must be
+    dropped once their position set is scored, so the traced peak over 40
+    distinct sets stays within a few row-sets of the peak over 10."""
+    import tracemalloc
+    protein = make_coil_protein(64, seed=16)
+    kw = dict(MODEL_KW, embed_dim=2048)
+    model = FitnessModel(ModelConfig(mode="s2f", embedder="file", seed=17, **kw))
+    base_rows = np.random.default_rng(18).standard_normal((64, 2048))
+
+    def provider(mset):
+        return ResidueEmbeddings(base_rows.copy(), mask_context_tag(mset.positions))
+
+    def peak_over(n_sets):
+        assay = AssayTable(protein_id="t", variants=tuple(
+            AssayVariant(mutant(protein, (p,)), 0.0) for p in range(n_sets)))
+        tracemalloc.start()
+        try:
+            score_assay(model, protein, assay, embeddings_provider=provider)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_over(1)   # first-call allocations are not rows
+    few, many = peak_over(10), peak_over(40)
+    assert many - few < 3 * base_rows.nbytes, (few, many)
+
+
 def test_non_finite_log_probs_raise_numerics_error():
     probs = np.full((1, 20), 1.0 / 20)
     probs[0, 7] = np.nan
