@@ -23,6 +23,7 @@ runs are bit-identical.
 from __future__ import annotations
 
 import ctypes
+import math
 import sys
 from contextlib import contextmanager
 
@@ -34,7 +35,8 @@ _M_MMAP_THRESHOLD = -3
 
 
 def _keep_freed_heap() -> None:
-    """Keep freed heap memory in the process for the next forward pass.
+    """Keep freed heap memory in the process for the next forward pass
+    or surface.
 
     Scoring builds no tape, but each forward pass still allocates and
     frees edge-level temporaries of a few MB at desk scale and tens of MB
@@ -46,9 +48,19 @@ def _keep_freed_heap() -> None:
     faults per perfbench score-sat op (39 variants on two sites of that
     protein) against 0 with this setting, 21.7k per score-multi-default
     op (two 150-residue passes) against 3, and 48 per pretrain-desk op
-    against 7. This turns heap trimming off and fixes the mmap threshold
-    at 32 MiB, the ceiling of glibc's own dynamic threshold, since
-    setting either parameter stops glibc from adjusting the other.
+    against 7.
+
+    Surface generation builds no tape either, yet depends on this most:
+    its field, eigensolver and kNN temporaries, up to tens of MB, are
+    freed when each cloud is done. On the same VM a perfbench
+    surface-mixed op (one surface with features and a dump round trip,
+    80 to 200 residues) took about 12.6k minor page faults in process
+    without this setting against 4 with it, and in two 20 s perfbench
+    runs its ops_per_s fell by 13% and 4% (score-sat's by 12% and 7%).
+
+    This turns heap trimming off and fixes the mmap threshold at 32 MiB,
+    the ceiling of glibc's own dynamic threshold, since setting either
+    parameter stops glibc from adjusting the other.
     """
     if sys.platform.startswith("linux"):
         libc = ctypes.CDLL(None)
@@ -61,8 +73,8 @@ _keep_freed_heap()
 
 def _scatter_rows(idx: np.ndarray, grad: np.ndarray, n: int) -> np.ndarray:
     """Sum grad rows into an (n, ...) array at positions idx (deterministic)."""
-    flat = grad.reshape(len(idx), -1)
-    d = flat.shape[1]
+    d = math.prod(grad.shape[1:])
+    flat = grad.reshape(len(idx), d)
     cols = np.arange(d, dtype=np.int64)
     out = np.bincount((idx[:, None] * d + cols).ravel(),
                       weights=flat.ravel(), minlength=n * d)

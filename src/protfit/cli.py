@@ -60,7 +60,8 @@ def _add_surface_opts(parser):
     parser.add_argument("--curvature-k", type=int, default=None)
     parser.add_argument("--hks-eigenpairs", type=int, default=None)
     parser.add_argument("--paper-scale", action="store_true", default=None,
-                        help="target the 6000..20000 point range")
+                        help="target the 6000..20000 point range (excludes "
+                             "--min-points and --max-points)")
 
 
 def build_parser() -> _Parser:
@@ -107,7 +108,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("s2f", "s3f", "surf_only"), default=None,
                    help="ablation override (subset of the checkpoint's mode)")
     p.add_argument("--embeddings",
-                   help="directory of per-variant S3FE files (file-mode models)")
+                   help="directory of per-variant S3FE files (file-mode "
+                        "checkpoints only)")
     p.add_argument("--baseline", help="baseline scores CSV (mutant,score)")
     p.add_argument("--external",
                    help="external scores CSV to z-score ensemble with")
@@ -210,6 +212,11 @@ def _header_lines(resolved: dict) -> list:
 
 def _surface_config(resolved: dict):
     from .surface import SurfaceConfig
+    if resolved["paper_scale"] and any(
+            resolved[key] != _SURFACE_DEFAULTS[key]
+            for key in ("min_points", "max_points")):
+        raise UsageError("--paper-scale sets the point range itself and "
+                         "excludes --min-points and --max-points")
     cfg = SurfaceConfig(
         atom_radius=resolved["atom_radius"], smoothing=resolved["smoothing"],
         level=resolved["level"], seeds_per_atom=resolved["seeds_per_atom"],
@@ -308,16 +315,19 @@ def cmd_score(args) -> int:
     if resolved["offset"]:
         protein = dataclasses.replace(protein, chain_offset=resolved["offset"])
     assay = load_assay(args.assay)
-    mode = resolved["mode"] or model.config.mode
-    base_cloud = None
-    if mode in SURFACE_MODES:
-        base_cloud = featured_cloud(protein, _surface_config(resolved),
-                                    resolved["seed"], dump=args.cloud)
     provider = None
     if model.config.embedder == "file":
         if not args.embeddings:
             raise UsageError("file-mode checkpoints need --embeddings DIR")
         provider = _dir_embeddings_provider(args.embeddings, protein)
+    elif args.embeddings:
+        raise UsageError("--embeddings is for file-mode checkpoints; this "
+                         "checkpoint embeds with its own toy embedder")
+    mode = resolved["mode"] or model.config.mode
+    base_cloud = None
+    if mode in SURFACE_MODES:
+        base_cloud = featured_cloud(protein, _surface_config(resolved),
+                                    resolved["seed"], dump=args.cloud)
     baseline = load_external_scores(args.baseline) if args.baseline else None
     external = None
     if args.external:

@@ -396,13 +396,13 @@ class FitnessModel:
         every call and scoring never does."""
         cfg = self.config
         masked = np.asarray(sorted(int(p) for p in masked_positions), dtype=np.int64)
-        training = corruption is not None
-        if corruption is None:
-            corruption = Corruption(
-                corrupted_sequence=protein.sequence.copy(), mask_positions=masked)
         if cfg.embedder == "toy":
-            ids = corruption.corrupted_sequence.copy()
-            ids[corruption.mask_positions] = MASK_TOKEN
+            if corruption is None:
+                ids = protein.sequence.copy()
+                ids[masked] = MASK_TOKEN
+            else:
+                ids = corruption.corrupted_sequence.copy()
+                ids[corruption.mask_positions] = MASK_TOKEN
             mixed = _window_mean(self.params["embed.table"], ids,
                                  cfg.window_halfwidth)
         else:
@@ -416,26 +416,20 @@ class FitnessModel:
             expected = mask_context_tag(masked)
             if embeddings.context_tag == expected:
                 mixed = Tensor(embeddings.rows)
-            elif embeddings.context_tag == "" and training:
+            elif embeddings.context_tag == "" and corruption is not None:
                 # training-time substitution on unmasked rows: hide masked
                 # rows behind the trainable mask vector, corrupted rows
                 # behind the trainable corruption table
-                sub_idx = np.concatenate([
-                    corruption.mask_positions, corruption.random_positions])
-                parts = []
-                if len(corruption.mask_positions):
-                    parts.append(ad.gather(
-                        self.params["embed.mask_vec"],
-                        np.zeros(len(corruption.mask_positions), dtype=np.int64)))
-                if len(corruption.random_positions):
-                    parts.append(ad.gather(
-                        self.params["embed.corrupt_table"],
-                        corruption.corrupted_sequence[corruption.random_positions]))
-                if parts:
-                    rows = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
-                    mixed = ad.substitute_rows(Tensor(embeddings.rows), sub_idx, rows)
-                else:
-                    mixed = Tensor(embeddings.rows)
+                mask_pos = corruption.mask_positions
+                rand_pos = corruption.random_positions
+                mixed = ad.substitute_rows(
+                    Tensor(embeddings.rows), mask_pos,
+                    ad.gather(self.params["embed.mask_vec"],
+                              np.zeros(len(mask_pos), dtype=np.int64)))
+                mixed = ad.substitute_rows(
+                    mixed, rand_pos,
+                    ad.gather(self.params["embed.corrupt_table"],
+                              corruption.corrupted_sequence[rand_pos]))
             else:
                 raise DataError(
                     f"embedding context tag {embeddings.context_tag!r} does not "

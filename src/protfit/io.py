@@ -20,6 +20,13 @@ lines starting with ``#`` are comments. ``read_csv_rows`` and
 ``read_csv`` parse CSV on top of it, and ``write_csv`` writes every CSV
 table: ``# `` header lines, then the rows. Malformed input of any kind
 raises DataError.
+
+Each input rule has one owner. Both structure formats reduce to
+``(line, residue index, one-letter code, xyz, pLDDT)`` records from a
+per-format generator, and the one loop in ``parse_structure`` rejects a
+duplicate index and a structure without alpha carbons and assembles the
+``Protein``. Assay and score CSVs both go through ``_mutant_rows``, which
+checks the columns, one row per stripped mutant and a finite value.
 """
 
 from __future__ import annotations
@@ -191,48 +198,20 @@ class AssayTable:
 # ---------------------------------------------------------------------------
 
 def parse_structure(data, fmt: str, name: str = "protein") -> Protein:
-    """Parse a structure stream in ``pdb-min`` or ``tsv`` format."""
+    """Parse a structure stream in ``pdb-min`` or ``tsv`` format. The
+    format's record generator reads its own lines; this one loop applies
+    the rules both formats share."""
     text = _decode(data, name) if isinstance(data, bytes) else data
-    if fmt == "pdb-min":
-        return _parse_pdb_min(text, name)
-    if fmt == "tsv":
-        return _parse_tsv(text, name)
-    raise DataError(f"unknown structure format {fmt!r}")
-
-
-def _parse_pdb_min(text: str, name: str) -> Protein:
-    # Non-ATOM records and non-CA atoms are skipped, not rejected: real PDB
-    # files carry headers and side chains this pipeline never needs.
+    if fmt not in _STRUCTURE_RECORDS:
+        raise DataError(f"unknown structure format {fmt!r}")
     seq, coords, plddt = [], [], []
     seen = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.startswith("ATOM"):
-            continue
-        if line[12:16].strip() != "CA":
-            continue
-        res3 = line[17:20].strip()
-        if res3 not in THREE_TO_ONE:
-            raise DataError(f"line {lineno}: unknown residue code {res3!r}")
-        try:
-            resnum = int(line[22:26])
-            x = float(line[30:38])
-            y = float(line[38:46])
-            z = float(line[46:54])
-        except (ValueError, IndexError):
-            raise DataError(f"line {lineno}: malformed ATOM record") from None
-        if resnum in seen:
-            raise DataError(f"line {lineno}: duplicate residue index {resnum}")
-        seen.add(resnum)
-        bfac = line[60:66].strip() if len(line) >= 61 else ""
-        try:
-            conf = float(bfac) if bfac else 100.0
-        except ValueError:
-            raise DataError(f"line {lineno}: malformed B-factor field") from None
-        # experimental B-factors are not confidences and can exceed 100;
-        # clamp into the pLDDT range instead of rejecting the structure
-        conf = min(max(conf, 0.0), 100.0)
-        seq.append(RESIDUE_INDEX[THREE_TO_ONE[res3]])
-        coords.append((x, y, z))
+    for lineno, index, code, xyz, conf in _STRUCTURE_RECORDS[fmt](text):
+        if index in seen:
+            raise DataError(f"line {lineno}: duplicate residue index {index}")
+        seen.add(index)
+        seq.append(RESIDUE_INDEX[code])
+        coords.append(xyz)
         plddt.append(conf)
     if not coords:
         raise DataError("no alpha carbons")
@@ -240,9 +219,33 @@ def _parse_pdb_min(text: str, name: str) -> Protein:
                    plddt=np.array(plddt))
 
 
-def _parse_tsv(text: str, name: str) -> Protein:
-    seq, coords, plddt = [], [], []
-    seen = set()
+def _pdb_min_records(text: str):
+    """(line, residue number, one-letter code, xyz, pLDDT) per CA atom."""
+    # Non-ATOM records and non-CA atoms are skipped, not rejected: real PDB
+    # files carry headers and side chains this pipeline never needs.
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.startswith("ATOM") or line[12:16].strip() != "CA":
+            continue
+        res3 = line[17:20].strip()
+        if res3 not in THREE_TO_ONE:
+            raise DataError(f"line {lineno}: unknown residue code {res3!r}")
+        try:
+            resnum = int(line[22:26])
+            xyz = float(line[30:38]), float(line[38:46]), float(line[46:54])
+        except ValueError:
+            raise DataError(f"line {lineno}: malformed ATOM record") from None
+        bfac = line[60:66].strip()
+        try:
+            conf = float(bfac) if bfac else 100.0
+        except ValueError:
+            raise DataError(f"line {lineno}: malformed B-factor field") from None
+        # experimental B-factors are not confidences and can exceed 100;
+        # clamp into the pLDDT range instead of rejecting the structure
+        yield lineno, resnum, THREE_TO_ONE[res3], xyz, min(max(conf, 0.0), 100.0)
+
+
+def _tsv_records(text: str):
+    """(line, index, one-letter code, xyz, pLDDT) per non-comment line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -251,24 +254,18 @@ def _parse_tsv(text: str, name: str) -> Protein:
         if len(parts) not in (5, 6):
             raise DataError(f"line {lineno}: expected 5 or 6 columns, got {len(parts)}")
         try:
-            idx = int(parts[0])
-            x, y, z = float(parts[2]), float(parts[3]), float(parts[4])
+            index = int(parts[0])
+            xyz = float(parts[2]), float(parts[3]), float(parts[4])
             conf = float(parts[5]) if len(parts) == 6 else 100.0
         except ValueError:
             raise DataError(f"line {lineno}: malformed numeric field") from None
         code = parts[1].strip()
         if code not in RESIDUE_INDEX:
             raise DataError(f"line {lineno}: unknown residue code {code!r}")
-        if idx in seen:
-            raise DataError(f"line {lineno}: duplicate residue index {idx}")
-        seen.add(idx)
-        seq.append(RESIDUE_INDEX[code])
-        coords.append((x, y, z))
-        plddt.append(conf)
-    if not coords:
-        raise DataError("no alpha carbons")
-    return Protein(id=name, sequence=np.array(seq), ca_coords=np.array(coords),
-                   plddt=np.array(plddt))
+        yield lineno, index, code, xyz, conf
+
+
+_STRUCTURE_RECORDS = {"pdb-min": _pdb_min_records, "tsv": _tsv_records}
 
 
 def serialize_structure(protein: Protein) -> str:
@@ -349,11 +346,7 @@ def format_mutation(mset: MutationSet, offset: int = 0) -> str:
 # ---------------------------------------------------------------------------
 
 def save_embeddings(path, rows, context_tag: str = "") -> None:
-    rows = np.asarray(rows)
-    if rows.ndim != 2:
-        raise DataError("embedding rows must be a 2-D matrix")
-    if not np.isfinite(rows).all():
-        raise DataError("non-finite embedding values")
+    rows = ResidueEmbeddings(rows, context_tag).rows
     n, d = rows.shape
     with open(path, "wb") as fh:
         fh.write(EMBED_MAGIC)
@@ -446,16 +439,15 @@ def write_csv(path, columns, rows, header_lines=()) -> None:
 # assay and score CSVs
 # ---------------------------------------------------------------------------
 
-def load_assay(path, protein_id: str = None) -> AssayTable:
-    path = Path(path)
+def _mutant_rows(path, column: str):
+    """Yield (row number, mutant, value, row) for each row of a CSV table
+    keyed by ``mutant``: the header holds ``mutant`` and ``column``, each
+    stripped mutant appears once and every ``column`` cell is a finite
+    float."""
     header, rows = read_csv(path)
-    if not rows:
-        raise DataError(f"{path}: empty assay table")
-    for col in ("mutant", "DMS_score"):
+    for col in ("mutant", column):
         if col not in header:
             raise DataError(f"{path}: missing mandatory column {col!r}")
-    has_bin = "DMS_score_bin" in header
-    variants = []
     seen = set()
     for i, row in enumerate(rows, start=2):
         mutant = row["mutant"].strip()
@@ -463,39 +455,33 @@ def load_assay(path, protein_id: str = None) -> AssayTable:
             raise DataError(f"{path} row {i}: duplicate mutant {mutant!r}")
         seen.add(mutant)
         try:
-            score = float(row["DMS_score"])
+            value = float(row[column])
         except ValueError:
-            raise DataError(f"{path} row {i}: unparseable DMS_score") from None
-        if not math.isfinite(score):
-            raise DataError(f"{path} row {i}: non-finite (NaN or infinite) "
-                            f"DMS_score {score!r}")
+            raise DataError(f"{path} row {i}: unparseable {column}") from None
+        if not math.isfinite(value):
+            raise DataError(f"{path} row {i}: non-finite {column} {value!r} "
+                            f"(NaN or infinite)")
+        yield i, mutant, value, row
+
+
+def load_assay(path, protein_id: str = None) -> AssayTable:
+    path = Path(path)
+    variants = []
+    for i, mutant, score, row in _mutant_rows(path, "DMS_score"):
         dms_bin = None
-        if has_bin:
+        if "DMS_score_bin" in row:
             raw = row["DMS_score_bin"].strip()
             if raw not in ("0", "1"):
                 raise DataError(f"{path} row {i}: DMS_score_bin must be 0 or 1")
             dms_bin = int(raw)
         variants.append(AssayVariant(mutant, score, dms_bin))
+    if not variants:
+        raise DataError(f"{path}: empty assay table")
     return AssayTable(protein_id=protein_id or path.stem, variants=tuple(variants))
 
 
 def load_external_scores(path) -> dict:
     """Read a scores CSV (``mutant`` and ``score`` columns, others ignored)
     into an ordered mutant -> score map; every score must be finite."""
-    path = Path(path)
-    header, rows = read_csv(path)
-    if "mutant" not in header or "score" not in header:
-        raise DataError(f"{path}: expected header columns mutant,score")
-    out = {}
-    for i, row in enumerate(rows, start=2):
-        key = row["mutant"].strip()
-        if key in out:
-            raise DataError(f"{path} row {i}: duplicate mutant key {key!r}")
-        try:
-            value = float(row["score"])
-        except ValueError:
-            raise DataError(f"{path} row {i}: unparseable score") from None
-        if not math.isfinite(value):
-            raise DataError(f"{path} row {i}: non-finite score {value!r}")
-        out[key] = value
-    return out
+    return {mutant: value
+            for _, mutant, value, _ in _mutant_rows(Path(path), "score")}

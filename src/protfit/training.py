@@ -205,10 +205,14 @@ def load_corpus(corpus_dir, model_cfg: ModelConfig, surface_cfg: SurfaceConfig,
     """Load structures (and paired embeddings / cloud dumps by filename
     stem). In surface modes each protein gets its featured base cloud once:
     ``clouds_dir/<stem>.surface.tsv`` when that dump exists, else one
-    generated from ``surface_cfg`` and ``surface_seed``."""
+    generated from ``surface_cfg`` and ``surface_seed``. In those modes a
+    ``clouds_dir`` that is not a directory is a DataError."""
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
         raise DataError(f"corpus directory not found: {corpus_dir}")
+    if (mode in SURFACE_MODES and clouds_dir is not None
+            and not Path(clouds_dir).is_dir()):
+        raise DataError(f"clouds directory not found: {clouds_dir}")
     paths = sorted(list(corpus_dir.glob("*.tsv")) + list(corpus_dir.glob("*.pdb")))
     if not paths:
         raise DataError(f"no structure files in {corpus_dir}")
@@ -374,6 +378,9 @@ def pretrain(corpus_dir, model_cfg: ModelConfig, train_cfg: TrainConfig,
                         surface_seed=train_cfg.seed, clouds_dir=clouds_dir)
     if resume is not None:
         model, opt_state, rng, start_epoch = load_train_state(resume)
+        if start_epoch > train_cfg.epochs:
+            raise DataError(f"{resume}: resume state is at epoch {start_epoch}, "
+                            f"past epochs={train_cfg.epochs}")
         if model.config != model_cfg:
             raise DataError("resume state config does not match requested config")
         optimizer = make_optimizer(model, train_cfg)

@@ -145,6 +145,19 @@ def test_substitute_rows(rng):
         [base, first, rows])
 
 
+def test_gather_and_substitute_with_empty_index(rng):
+    """File-mode training substitutes its mask rows and its random rows
+    unconditionally, and either set can be empty."""
+    base = Parameter(rng.standard_normal((5, 3)))
+    table = Parameter(rng.standard_normal((4, 3)))
+    empty = np.empty(0, dtype=np.int64)
+    out = ad.substitute_rows(base, empty, ad.gather(table, empty))
+    assert np.array_equal(out.data, base.data)
+    ad.tsum(out * out).backward()
+    assert np.array_equal(table.grad, np.zeros((4, 3)))
+    assert np.array_equal(base.grad, 2 * base.data)
+
+
 def test_select_rc(rng):
     x = Parameter(rng.standard_normal((4, 6)))
     rows = np.array([0, 1, 3])

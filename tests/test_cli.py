@@ -5,9 +5,12 @@ import json
 import math
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +173,33 @@ def test_surface_paper_scale_point_range(tmp_path):
     assert 6000 <= cloud.n_points <= 20000
 
 
+@pytest.mark.parametrize("command", ["surface", "pretrain"])
+@pytest.mark.parametrize("flags,overlay", [
+    (["--paper-scale", "--min-points", "1000"], None),
+    (["--paper-scale", "--max-points", "3000"], None),
+    ([], {"paper_scale": True, "max_points": 3000}),
+    (["--min-points", "48"], {"paper_scale": True})])
+def test_paper_scale_with_point_limits_is_usage_error(workspace, tmp_path,
+                                                      capsys, command, flags,
+                                                      overlay):
+    """--paper-scale sets the point range, so an explicit one from a flag or
+    a config file would be overridden and then misreported in the header."""
+    root, _, _ = workspace
+    if overlay is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(overlay))
+        flags = [*flags, "--config", tmp_path / "cfg.json"]
+    out = tmp_path / "out"
+    if command == "surface":
+        argv = ["surface", root / "corpus" / "motif000.tsv", "--out", out]
+    else:
+        argv = ["pretrain", root / "corpus", "--out-dir", out, "--epochs", "0",
+                *MODEL_FLAGS]
+    code = cli.main([str(a) for a in (*argv, *flags)])
+    assert code == 1
+    assert "--paper-scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # pretrain
 # ---------------------------------------------------------------------------
@@ -211,6 +241,35 @@ def test_pretrain_model_size_that_cannot_run_exits_2(workspace, tmp_path, flag,
     assert proc.returncode == 2, proc.stderr
     assert field in proc.stderr
     assert not (tmp_path / "bad" / "checkpoint.s3fc").exists()
+
+
+def test_pretrain_resume_past_epochs_exits_2(workspace, trained, tmp_path,
+                                             capsys):
+    """A sidecar whose next epoch exceeds --epochs would train nothing and
+    rewrite the sidecar with a wrong epoch; the run must write nothing."""
+    root, _, _ = workspace
+    run = tmp_path / "run"
+    shutil.copytree(trained.parent, run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    code = cli.main([str(a) for a in (
+        "pretrain", root / "corpus", "--out-dir", run, "--epochs", "0",
+        "--resume", run / "checkpoint.state.npz", *MODEL_FLAGS,
+        *SURFACE_FLAGS)])
+    assert code == 2
+    assert "past epochs=0" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_pretrain_missing_clouds_dir_exits_2(workspace, tmp_path, capsys):
+    root, _, _ = workspace
+    out = tmp_path / "run"
+    code = cli.main([str(a) for a in (
+        "pretrain", root / "corpus", "--out-dir", out, "--mode", "s3f",
+        "--epochs", "0", "--clouds", tmp_path / "nope", *MODEL_FLAGS,
+        *SURFACE_FLAGS)])
+    assert code == 2
+    assert "clouds directory not found" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pretrain_s2f_checkpoint_has_no_surface_tensors(workspace, tmp_path):
@@ -342,6 +401,18 @@ def test_config_not_utf8_is_usage_error(workspace, tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "bad config file" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_score_embeddings_with_toy_checkpoint_is_usage_error(
+        workspace, trained, tmp_path, capsys):
+    root, _, _ = workspace
+    out = tmp_path / "s.csv"
+    code = cli.main([str(a) for a in (
+        "score", trained, root / "corpus" / "motif000.tsv", root / "assay.csv",
+        "--out", out, "--embeddings", tmp_path / "nope", *SURFACE_FLAGS)])
+    assert code == 1
+    assert "--embeddings" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_score_truncated_checkpoint_exits_2(workspace, trained, tmp_path):
@@ -609,3 +680,31 @@ def test_numeric_flag_edge_values_keep_the_exit_contract(
     assert code in (0, 1, 2, 3)
     if code == 0:
         assert _non_finite_outputs(out) == []
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+def _readme_examples():
+    """Argument lists of every ``protfit ...`` line in README's bash blocks:
+    ``\\`` continuations joined, ``#`` comments and ``...`` tokens dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```bash\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            tokens = [t for t in shlex.split(line, comments=True) if t != "..."]
+            if tokens[:1] == ["protfit"]:
+                examples.append(tokens[1:])
+    return examples
+
+
+def test_readme_examples_parse():
+    examples = _readme_examples()
+    assert len(examples) >= 8
+    parser = cli.build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except cli.UsageError as exc:
+            pytest.fail(f"README example 'protfit {' '.join(argv)}': {exc}")
