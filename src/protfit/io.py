@@ -19,7 +19,8 @@ read through ``read_text_lines``: the bytes must decode as UTF-8 and
 lines starting with ``#`` are comments. ``read_csv_rows`` and
 ``read_csv`` parse CSV on top of it, and ``write_csv`` writes every CSV
 table: ``# `` header lines, then the rows. Malformed input of any kind
-raises DataError.
+raises DataError; a "row N" in its message is line N of the file,
+counting comment and blank lines.
 
 Each input rule has one owner. Both structure formats reduce to
 ``(line, residue index, one-letter code, xyz, pLDDT)`` records from a
@@ -393,36 +394,57 @@ def _decode(data: bytes, where) -> str:
         raise DataError(f"{where}: not UTF-8 text (byte {exc.start})") from None
 
 
-def read_text_lines(path) -> list:
-    """Lines of a UTF-8 text file, line ends kept, ``#`` lines dropped."""
+def _numbered_lines(path) -> list:
+    """(1-based line number, line) of each line of a UTF-8 text file, line
+    ends kept, ``#`` lines dropped."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
     text = StringIO(_decode(path.read_bytes(), path), newline="")
-    return [line for line in text if not line.startswith("#")]
+    return [(i, line) for i, line in enumerate(text, start=1)
+            if not line.startswith("#")]
+
+
+def read_text_lines(path) -> list:
+    """Lines of a UTF-8 text file, line ends kept, ``#`` lines dropped."""
+    return [line for _, line in _numbered_lines(path)]
 
 
 def read_csv_rows(path) -> list:
-    """Cell lists of a CSV text table; blank rows are skipped."""
+    """(line, cells) for each row of a CSV text table, where ``line`` is the
+    1-based line of the file the row starts on; blank rows are skipped."""
+    numbered = _numbered_lines(path)
+    reader = csv.reader(line for _, line in numbered)
+    rows, start = [], 0
     try:
-        return [row for row in csv.reader(read_text_lines(path)) if row]
+        for cells in reader:
+            if cells:
+                rows.append((numbered[start][0], cells))
+            start = reader.line_num
     except csv.Error as exc:
         raise DataError(f"{path}: malformed CSV ({exc})") from None
+    return rows
+
+
+def _numbered_csv(path) -> tuple:
+    """``read_csv`` with each row paired with the file line it starts on."""
+    rows = read_csv_rows(path)
+    if not rows:
+        return [], []
+    (_, header), body = rows[0], rows[1:]
+    for line, cells in body:
+        if len(cells) < len(header):
+            raise DataError(f"{path} row {line}: {len(cells)} cells, header has "
+                            f"{len(header)}")
+    return header, [(line, dict(zip(header, cells))) for line, cells in body]
 
 
 def read_csv(path) -> tuple:
     """(header, rows) of a CSV text table, each row a dict keyed by the
     header. A row with fewer cells than the header is a DataError; cells
     past the header are ignored."""
-    rows = read_csv_rows(path)
-    if not rows:
-        return [], []
-    header = rows[0]
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) < len(header):
-            raise DataError(f"{path} row {i}: {len(row)} cells, header has "
-                            f"{len(header)}")
-    return header, [dict(zip(header, row)) for row in rows[1:]]
+    header, rows = _numbered_csv(path)
+    return header, [row for _, row in rows]
 
 
 def write_csv(path, columns, rows, header_lines=()) -> None:
@@ -440,16 +462,16 @@ def write_csv(path, columns, rows, header_lines=()) -> None:
 # ---------------------------------------------------------------------------
 
 def _mutant_rows(path, column: str):
-    """Yield (row number, mutant, value, row) for each row of a CSV table
+    """Yield (line, mutant, value, row) for each row of a CSV table
     keyed by ``mutant``: the header holds ``mutant`` and ``column``, each
     stripped mutant appears once and every ``column`` cell is a finite
     float."""
-    header, rows = read_csv(path)
+    header, rows = _numbered_csv(path)
     for col in ("mutant", column):
         if col not in header:
             raise DataError(f"{path}: missing mandatory column {col!r}")
     seen = set()
-    for i, row in enumerate(rows, start=2):
+    for i, row in rows:
         mutant = row["mutant"].strip()
         if mutant in seen:
             raise DataError(f"{path} row {i}: duplicate mutant {mutant!r}")

@@ -261,10 +261,10 @@ def emit_report(path, results: list, fmt: str = "csv", aggregate: dict = None,
 def read_report_csv(path) -> dict:
     """Parse an emitted CSV report back into assays/aggregate/groups."""
     rows = read_csv_rows(path)
-    if not rows or rows[0][:2] != ["assay_id", "n_variants"]:
+    if not rows or rows[0][1][:2] != ["assay_id", "n_variants"]:
         raise DataError(f"{path}: unexpected report header")
     out = {"assays": [], "aggregate": None, "groups": {}, "significance": {}}
-    for row in rows[1:]:
+    for line, row in rows[1:]:
         key, *cells = row
         try:
             if key.startswith("SIGNIFICANCE:"):
@@ -275,7 +275,7 @@ def read_report_csv(path) -> dict:
             record = {"assay_id": key, "n_variants": int(count),
                       **dict(zip(METRIC_COLUMNS, map(float, values), strict=True))}
         except ValueError:
-            raise DataError(f"{path}: malformed report row {row!r}") from None
+            raise DataError(f"{path} row {line}: malformed report row {row!r}") from None
         if key == "AGGREGATE":
             out["aggregate"] = record
         elif key.startswith("GROUP:"):

@@ -28,7 +28,9 @@ from .geometry import cross_knn
 from .io import Protein, read_text_lines
 
 _DEFAULT_HKS_TIMES = tuple(np.logspace(-0.5, 1.5, 4))
-_FIELD_CHUNK = 4096   # points per (points x atoms) distance block
+# (atom, point) pairs per (atoms x 3 x points) difference block: 768 KB,
+# small enough to stay in a core's cache while the block is reused
+_FIELD_PAIRS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -94,41 +96,65 @@ class ExcisionMap:
 
 def _field(points: np.ndarray, atoms: np.ndarray, smoothing: float,
            with_grad: bool = False):
-    """Soft-min field values (and optionally gradients) at many points."""
+    """Soft-min field values (and optionally gradients) at many points.
+
+    Each chunk of points is laid out atoms-major: one (atoms, 3, points)
+    block of differences, whose three coordinate slices give (atoms,
+    points) blocks of distances and weights. It keeps the summation order
+    of the plain (points, atoms, 3) formula, so the output is bit-identical
+    to it and does not depend on how the points are batched or chunked:
+    each distance adds dx^2, dy^2 and dz^2 left to right, the weight sum
+    is numpy's pairwise sum over one contiguous row of atoms per point,
+    and each gradient adds its atoms' terms one after another in atom
+    order.
+    """
     points = np.atleast_2d(points)
     m = len(points)
     f = np.empty(m)
     g = np.empty((m, 3)) if with_grad else None
-    for start in range(0, m, _FIELD_CHUNK):
-        stop = min(m, start + _FIELD_CHUNK)
-        diff = points[start:stop, None, :] - atoms[None, :, :]
-        d = np.maximum(np.linalg.norm(diff, axis=2), 1e-12)
-        z = -d / smoothing
-        zmax = z.max(axis=1, keepdims=True)
-        w = np.exp(z - zmax)
-        wsum = w.sum(axis=1, keepdims=True)
-        f[start:stop] = -smoothing * (zmax[:, 0] + np.log(wsum[:, 0]))
+    columns = np.ascontiguousarray(points.T)
+    chunk = max(1, _FIELD_PAIRS // len(atoms))
+    for start in range(0, m, chunk):
+        stop = min(m, start + chunk)
+        diff = columns[None, :, start:stop] - atoms[:, :, None]
+        d = np.square(diff[:, 0])
+        sq = np.square(diff[:, 1])
+        d += sq
+        np.square(diff[:, 2], out=sq)
+        d += sq
+        np.sqrt(d, out=d)
+        np.maximum(d, 1e-12, out=d)
+        w = np.divide(d, -smoothing, out=sq)   # -d / smoothing, bit for bit
+        zmax = w.max(axis=0)
+        w -= zmax
+        np.exp(w, out=w)
+        # summed along contiguous rows, so numpy sums pairwise as before
+        wsum = np.ascontiguousarray(w.T).sum(axis=1)
+        f[start:stop] = -smoothing * (zmax + np.log(wsum))
         if with_grad:
-            g[start:stop] = ((w / wsum)[:, :, None] * diff / d[:, :, None]).sum(axis=1)
+            w /= wsum
+            diff *= w[:, None, :]
+            diff /= d[:, None, :]
+            g[start:stop] = diff.sum(axis=0).T
     return (f, g) if with_grad else f
+
+
+def _at_one_point(x, atoms, cfg: SurfaceConfig, with_grad: bool):
+    atoms = np.asarray(atoms, dtype=np.float64)
+    if atoms.ndim != 2 or len(atoms) < 1:
+        raise DataError("need at least one atom")
+    return _field(np.asarray(x, dtype=np.float64)[None, :], atoms,
+                  (cfg or SurfaceConfig()).smoothing, with_grad=with_grad)
 
 
 def smooth_distance(x, atoms, cfg: SurfaceConfig = None) -> float:
     """Soft-min of distances from x to the atoms (tends to the true minimum
     distance as smoothing goes to zero)."""
-    smoothing = (cfg or SurfaceConfig()).smoothing
-    atoms = np.asarray(atoms, dtype=np.float64)
-    if atoms.ndim != 2 or len(atoms) < 1:
-        raise DataError("need at least one atom")
-    return float(_field(np.asarray(x, dtype=np.float64)[None, :], atoms, smoothing)[0])
+    return float(_at_one_point(x, atoms, cfg, False)[0])
 
 
 def smooth_distance_grad(x, atoms, cfg: SurfaceConfig = None) -> np.ndarray:
-    smoothing = (cfg or SurfaceConfig()).smoothing
-    atoms = np.asarray(atoms, dtype=np.float64)
-    _, g = _field(np.asarray(x, dtype=np.float64)[None, :], atoms, smoothing,
-                  with_grad=True)
-    return g[0]
+    return _at_one_point(x, atoms, cfg, True)[1][0]
 
 
 # ---------------------------------------------------------------------------

@@ -374,8 +374,6 @@ def pretrain(corpus_dir, model_cfg: ModelConfig, train_cfg: TrainConfig,
         surface_cfg = SurfaceConfig()
     policy = MaskingPolicy()
     mode = model_cfg.mode
-    items = load_corpus(corpus_dir, model_cfg, surface_cfg, mode,
-                        surface_seed=train_cfg.seed, clouds_dir=clouds_dir)
     if resume is not None:
         model, opt_state, rng, start_epoch = load_train_state(resume)
         if start_epoch > train_cfg.epochs:
@@ -390,6 +388,9 @@ def pretrain(corpus_dir, model_cfg: ModelConfig, train_cfg: TrainConfig,
         optimizer = make_optimizer(model, train_cfg)
         rng = np.random.default_rng(train_cfg.seed)
         start_epoch = 0
+    # after the resume checks, so a rejected sidecar costs no surface work
+    items = load_corpus(corpus_dir, model_cfg, surface_cfg, mode,
+                        surface_seed=train_cfg.seed, clouds_dir=clouds_dir)
     out_dir = None if out_dir is None else Path(out_dir)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

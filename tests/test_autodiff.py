@@ -135,7 +135,7 @@ def test_substitute_rows(rng):
     assert np.allclose(out.data[[0, 2, 4]], base.data[[0, 2, 4]])
     check(lambda: ad.tsum(ad.relu(ad.substitute_rows(base, idx, rows))),
           [base, rows])
-    # the file-mode embed path: rows concatenated on axis 0, then substituted
+    # rows concatenated on axis 0, then substituted
     first = Parameter(rng.standard_normal((1, 3)))
     weights = Tensor(rng.standard_normal((5, 3)))
     assert np.array_equal(ad.concat([first, rows], axis=0).data,

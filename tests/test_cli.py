@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from protfit import cli
+from protfit import cli, surface
 from protfit.corpus import make_motif_corpus, make_synthetic_variants
 from protfit.gvp import ModelConfig, load_checkpoint
 from protfit.io import load_structure
@@ -258,6 +258,34 @@ def test_pretrain_resume_past_epochs_exits_2(workspace, trained, tmp_path,
     assert code == 2
     assert "past epochs=0" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "0"], "past epochs=0"),
+    (["--epochs", "1", "--seed", "5"], "does not match")])
+def test_rejected_resume_generates_no_surface(workspace, trained, tmp_path,
+                                              capsys, monkeypatch, flags,
+                                              message):
+    """The sidecar is checked before the corpus is loaded, so a rejected
+    resume in s3f reports its error without generating any cloud."""
+    root, _, _ = workspace
+    calls = []
+    real = surface.generate_surface
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(surface, "generate_surface", counted)
+    out = tmp_path / "run"
+    code = cli.main([str(a) for a in (
+        "pretrain", root / "corpus", "--out-dir", out, "--mode", "s3f",
+        "--resume", trained.parent / "checkpoint.state.npz", *flags,
+        *MODEL_FLAGS, *SURFACE_FLAGS)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 def test_pretrain_missing_clouds_dir_exits_2(workspace, tmp_path, capsys):

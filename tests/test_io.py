@@ -328,6 +328,17 @@ def test_assay_row_missing_mutant_cell(tmp_path):
         load_assay(path)
 
 
+def test_csv_row_number_is_the_file_line(tmp_path):
+    """Comment lines, blank rows and lines inside a quoted cell all count."""
+    path = tmp_path / "x.csv"
+    path.write_text("# a\n# b\nmutant,score\nA1G,0.5\n\nC2D,inf\n")
+    with pytest.raises(DataError, match=r"x\.csv row 6: non-finite score"):
+        load_external_scores(path)
+    path.write_text('# a\nmutant,DMS_score\n"A1G\n",0.5\n\n#\nC2D\n')
+    with pytest.raises(DataError, match=r"x\.csv row 7: 1 cells, header has 2"):
+        load_assay(path)
+
+
 # ---------------------------------------------------------------------------
 # text-table core
 # ---------------------------------------------------------------------------

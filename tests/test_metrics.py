@@ -368,6 +368,14 @@ def test_report_csv_garbage_row_is_data_error(tmp_path, row):
         read_report_csv(path)
 
 
+def test_report_csv_garbage_row_names_its_file_line(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("# run\nassay_id,n_variants,spearman,auc,mcc,ndcg,recall10\n"
+                    "\nb,x,0.1,0.2,0.3,0.4,0.5\n")
+    with pytest.raises(DataError, match="row 4: malformed report row"):
+        read_report_csv(path)
+
+
 @pytest.mark.parametrize("body", [b"", b"# only\n", b"assay_id\n",
                                   b"assay_id,n_variants\xff\n"])
 def test_report_csv_bad_header_or_encoding(tmp_path, body):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import protfit.surface
 from conftest import make_coil_protein, random_rotation
 from protfit.errors import DataError
 from protfit.io import Protein
@@ -62,6 +63,56 @@ def test_soft_min_gradient_matches_finite_differences(rng):
             fd[k] = (smooth_distance(x + e, atoms, cfg)
                      - smooth_distance(x - e, atoms, cfg)) / (2 * h)
         assert np.abs(grad - fd).max() / max(np.linalg.norm(fd), 1e-9) < 1e-6
+
+
+def _dense_field(points, atoms, smoothing):
+    """The plain (points, atoms, 3) soft-min formula, for comparison."""
+    diff = points[:, None, :] - atoms[None, :, :]
+    d = np.maximum(np.linalg.norm(diff, axis=2), 1e-12)
+    z = -d / smoothing
+    zmax = z.max(axis=1, keepdims=True)
+    w = np.exp(z - zmax)
+    wsum = w.sum(axis=1, keepdims=True)
+    f = -smoothing * (zmax[:, 0] + np.log(wsum[:, 0]))
+    g = ((w / wsum)[:, :, None] * diff / d[:, :, None]).sum(axis=1)
+    return f, g
+
+
+@pytest.mark.parametrize("n_atoms", [1, 7, 9, 40])
+@pytest.mark.parametrize("pairs", [None, 1, 3])
+def test_field_is_bit_identical_to_dense_formula(rng, monkeypatch, n_atoms, pairs):
+    """Several chunks (pair budgets of one and three points per chunk,
+    with the points not a multiple of three) and a point on an atom, where
+    the 1e-12 distance clamp applies."""
+    if pairs is not None:
+        monkeypatch.setattr(protfit.surface, "_FIELD_PAIRS", pairs * n_atoms)
+    atoms = rng.uniform(0, 10, (n_atoms, 3))
+    points = rng.uniform(-3, 13, (17, 3))
+    points[5] = atoms[0]
+    f, g = _field(points, atoms, 0.7, with_grad=True)
+    want_f, want_g = _dense_field(points, atoms, 0.7)
+    assert np.array_equal(f, want_f)
+    assert np.array_equal(g, want_g)
+    assert np.array_equal(_field(points, atoms, 0.7), want_f)
+
+
+def test_field_rows_do_not_depend_on_the_batch(rng):
+    atoms = rng.uniform(0, 10, (30, 3))
+    points = rng.uniform(-3, 13, (25, 3))
+    points[2] = atoms[4]
+    f, g = _field(points, atoms, 1.0, with_grad=True)
+    for i, x in enumerate(points):
+        fi, gi = _field(x, atoms, 1.0, with_grad=True)
+        assert fi[0] == f[i] and np.array_equal(gi[0], g[i])
+        assert smooth_distance(x, atoms) == f[i]
+        assert np.array_equal(smooth_distance_grad(x, atoms), g[i])
+
+
+@pytest.mark.parametrize("fn", [smooth_distance, smooth_distance_grad])
+@pytest.mark.parametrize("atoms", [np.empty((0, 3)), np.zeros(3)])
+def test_smooth_distance_needs_an_atom_array(fn, atoms):
+    with pytest.raises(DataError, match="need at least one atom"):
+        fn(np.zeros(3), atoms)
 
 
 # ---------------------------------------------------------------------------
