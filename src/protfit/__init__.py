@@ -9,6 +9,12 @@ import importlib
 
 __version__ = "0.1.0"
 
+# Choice lists, kept here because this module loads no numpy.
+MODES = ("s2f", "s3f", "surf_only")
+EMBEDDERS = ("toy", "file")
+OPTIMIZERS = ("adam", "sgd")
+REPORT_FORMATS = ("csv", "json")
+
 _EXPORTS = {
     "AssayTable": "io", "DataError": "errors", "FitnessModel": "gvp",
     "ModelConfig": "gvp", "MutationSet": "io", "NumericsError": "errors",

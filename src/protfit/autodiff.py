@@ -295,15 +295,6 @@ def transpose(x) -> Tensor:
     return _make(x.data.T, (x,), (lambda g: g.T,))
 
 
-def concat(parts, axis: int = 0) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    lead = (slice(None),) * (axis % data.ndim)
-    return _make(data, parts,
-                 [lambda g, s=(*lead, block): g[s]
-                  for block in _blocks([p.data.shape[axis] for p in parts])])
-
-
 def gather(x, idx) -> Tensor:
     """Select rows x[idx] along axis 0; the VJP scatter-adds."""
     x = as_tensor(x)

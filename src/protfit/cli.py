@@ -3,7 +3,10 @@
 Commands: ``surface``, ``pretrain``, ``score``, ``eval``, ``embed-pack``.
 Options resolve in layers (built-in defaults, then a JSON config file,
 then explicit flags); every output file embeds the resolved config and
-its hash, and runs are deterministic given (inputs, config, seed).
+its hash, and runs are deterministic given (inputs, config, seed). A flag
+that sets a field of ``SurfaceConfig``, ``ModelConfig`` or ``TrainConfig``
+defaults to that field's default; the flag is named after the field
+unless ``_RENAMED`` maps it.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numerical failure.
@@ -23,6 +26,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import EMBEDDERS, MODES, OPTIMIZERS, REPORT_FORMATS
 from .errors import DataError, NumericsError, UsageError
 
 
@@ -79,12 +83,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pretrain", help="masked-residue pre-training")
     p.add_argument("corpus")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--mode", choices=("s2f", "s3f", "surf_only"), default=None)
-    p.add_argument("--embedder", choices=("toy", "file"), default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
+    p.add_argument("--embedder", choices=EMBEDDERS, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default=None)
     p.add_argument("--grad-clip", type=float, default=None)
     p.add_argument("--checkpoint-every", type=int, default=None)
     p.add_argument("--resume", help="resume from a .state.npz sidecar")
@@ -105,7 +109,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--offset", type=int, default=None,
                    help="mutation numbering offset")
-    p.add_argument("--mode", choices=("s2f", "s3f", "surf_only"), default=None,
+    p.add_argument("--mode", choices=MODES, default=None,
                    help="ablation override (subset of the checkpoint's mode)")
     p.add_argument("--embeddings",
                    help="directory of per-variant S3FE files (file-mode "
@@ -124,7 +128,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scores", action="append", required=True)
     p.add_argument("--assay", action="append", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=REPORT_FORMATS, default=None)
     p.add_argument("--group-by", default=None,
                    help='"depth" or an assay CSV column name')
     p.add_argument("--scores-b", action="append",
@@ -174,8 +178,49 @@ def _check_file_value(action, value, default):
         raise UsageError(f"config value {value!r} is not valid for {flag}")
 
 
-def _resolve(args, defaults: dict) -> dict:
+# Flags named apart from the config fields they set. --layers sets the
+# depth of both stacks; --no-normalize sets ``normalize`` to its negation.
+_RENAMED = {"lr": ("learning_rate",),
+            "layers": ("structure_layers", "surface_layers"),
+            "no_normalize": ("normalize",)}
+
+
+def _as_field(flag: str, value):
+    """A flag value as its field's value, and a field default as the flag's."""
+    return not value if flag == "no_normalize" else value
+
+
+def _defaults(args) -> dict:
+    """Built-in defaults of ``args``' command: a flag that sets a config
+    field takes the field's default. The config classes load numpy, so
+    they are imported here, after ``main`` has applied ``--threads``."""
+    if args.command == "eval":
+        return {"seed": 0, "format": "csv", "group_by": None, "bootstrap": 0}
+    import dataclasses
+
+    from .surface import SurfaceConfig
+    classes = [SurfaceConfig]
+    defaults = {"seed": 0, "paper_scale": False}
+    if args.command == "pretrain":
+        from .gvp import ModelConfig
+        from .training import TrainConfig
+        classes += [ModelConfig, TrainConfig]
+    elif args.command == "score":
+        from .scoring import DEFAULT_PLDDT_THRESHOLD
+        defaults.update(offset=0, mode=None, per_site_gating=False,
+                        plddt_threshold=DEFAULT_PLDDT_THRESHOLD)
+    fields = {f.name: f.default
+              for cls in classes for f in dataclasses.fields(cls)}
+    for action in args.parser._actions:
+        name = _RENAMED.get(action.dest, (action.dest,))[0]
+        if name in fields:
+            defaults[action.dest] = _as_field(action.dest, fields[name])
+    return defaults
+
+
+def _resolve(args) -> dict:
     """defaults < config file < explicitly set flags."""
+    defaults = _defaults(args)
     resolved = dict(defaults)
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -210,29 +255,24 @@ def _header_lines(resolved: dict) -> list:
             f"config_hash={_hash_config(resolved)}"]
 
 
+def _config(cls, resolved: dict):
+    """``cls`` from the flags that set its fields; the rest keep defaults."""
+    import dataclasses
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{name: _as_field(flag, value)
+                  for flag, value in resolved.items()
+                  for name in _RENAMED.get(flag, (flag,)) if name in names})
+
+
 def _surface_config(resolved: dict):
     from .surface import SurfaceConfig
     if resolved["paper_scale"] and any(
-            resolved[key] != _SURFACE_DEFAULTS[key]
+            resolved[key] != getattr(SurfaceConfig, key)
             for key in ("min_points", "max_points")):
         raise UsageError("--paper-scale sets the point range itself and "
                          "excludes --min-points and --max-points")
-    cfg = SurfaceConfig(
-        atom_radius=resolved["atom_radius"], smoothing=resolved["smoothing"],
-        level=resolved["level"], seeds_per_atom=resolved["seeds_per_atom"],
-        min_points=resolved["min_points"], max_points=resolved["max_points"],
-        knn_k=resolved["knn_k"], curvature_k=resolved["curvature_k"],
-        hks_eigenpairs=resolved["hks_eigenpairs"])
-    if resolved["paper_scale"]:
-        cfg = cfg.paper_scale()
-    return cfg
-
-
-_SURFACE_DEFAULTS = {
-    "atom_radius": 3.0, "smoothing": 1.0, "level": None, "seeds_per_atom": 20,
-    "min_points": 512, "max_points": 4096, "knn_k": 16, "curvature_k": 12,
-    "hks_eigenpairs": 32, "paper_scale": False,
-}
+    cfg = _config(SurfaceConfig, resolved)
+    return cfg.paper_scale() if resolved["paper_scale"] else cfg
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +282,7 @@ _SURFACE_DEFAULTS = {
 def cmd_surface(args) -> int:
     from .io import load_structure
     from .surface import featured_cloud, write_cloud_tsv
-    defaults = dict(_SURFACE_DEFAULTS, seed=0)
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args)
     cfg = _surface_config(resolved)
     protein = load_structure(args.structure)
     cloud = featured_cloud(protein, cfg, resolved["seed"])
@@ -255,23 +294,9 @@ def cmd_surface(args) -> int:
 def cmd_pretrain(args) -> int:
     from .gvp import ModelConfig
     from .training import TrainConfig, pretrain
-    defaults = dict(
-        _SURFACE_DEFAULTS, seed=0, mode="s3f", embedder="toy", epochs=100,
-        batch_size=None, lr=1e-4, optimizer="adam", grad_clip=1.0,
-        checkpoint_every=0, scalar_dim=100, vector_dim=16, layers=5,
-        embed_dim=64, no_normalize=False)
-    resolved = _resolve(args, defaults)
-    model_cfg = ModelConfig(
-        mode=resolved["mode"], embedder=resolved["embedder"],
-        embed_dim=resolved["embed_dim"], scalar_dim=resolved["scalar_dim"],
-        vector_dim=resolved["vector_dim"],
-        structure_layers=resolved["layers"], surface_layers=resolved["layers"],
-        normalize=not resolved["no_normalize"], seed=resolved["seed"])
-    train_cfg = TrainConfig(
-        epochs=resolved["epochs"], batch_size=resolved["batch_size"],
-        learning_rate=resolved["lr"], optimizer=resolved["optimizer"],
-        grad_clip=resolved["grad_clip"], seed=resolved["seed"],
-        checkpoint_every=resolved["checkpoint_every"])
+    resolved = _resolve(args)
+    model_cfg = _config(ModelConfig, resolved)
+    train_cfg = _config(TrainConfig, resolved)
     surface_cfg = _surface_config(resolved)
     _, history = pretrain(
         args.corpus, model_cfg, train_cfg, surface_cfg, out_dir=args.out_dir,
@@ -303,14 +328,11 @@ def cmd_score(args) -> int:
 
     from .gvp import SURFACE_MODES, load_checkpoint
     from .io import load_assay, load_external_scores, load_structure
-    from .scoring import (DEFAULT_PLDDT_THRESHOLD, ensemble_zscores,
-                          score_assay, write_scores_csv)
+    from .scoring import ensemble_zscores, score_assay, write_scores_csv
     from .surface import featured_cloud
-    defaults = dict(
-        _SURFACE_DEFAULTS, seed=0, offset=0, mode=None,
-        plddt_threshold=DEFAULT_PLDDT_THRESHOLD, per_site_gating=False)
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args)
     model = load_checkpoint(args.checkpoint)
+    mode = model.config.check_mode(resolved["mode"])
     protein = load_structure(args.structure)
     if resolved["offset"]:
         protein = dataclasses.replace(protein, chain_offset=resolved["offset"])
@@ -323,7 +345,6 @@ def cmd_score(args) -> int:
     elif args.embeddings:
         raise UsageError("--embeddings is for file-mode checkpoints; this "
                          "checkpoint embeds with its own toy embedder")
-    mode = resolved["mode"] or model.config.mode
     base_cloud = None
     if mode in SURFACE_MODES:
         base_cloud = featured_cloud(protein, _surface_config(resolved),
@@ -375,8 +396,7 @@ def cmd_eval(args) -> int:
     from .metrics import (aggregate_results, bootstrap_diff_stderr,
                           emit_report, evaluate_assay, METRIC_COLUMNS,
                           spearman)
-    defaults = {"seed": 0, "format": "csv", "group_by": None, "bootstrap": 0}
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args)
     if len(args.scores) != len(args.assay):
         raise UsageError("--scores and --assay must be paired one to one")
     if args.scores_b and len(args.scores_b) != len(args.assay):

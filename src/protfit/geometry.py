@@ -74,9 +74,6 @@ class SpatialGraph:
     def n_edges(self) -> int:
         return len(self.src)
 
-    def in_degree(self) -> np.ndarray:
-        return np.bincount(self.dst, minlength=self.n_nodes)
-
 
 def _finalize_graph(coords, src, dst, rbf: RbfConfig) -> SpatialGraph:
     src = np.asarray(src, dtype=np.int64)

@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import EMBEDDERS, MODES
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import DataError
@@ -39,7 +40,6 @@ from .surface import SurfacePointCloud
 CHECKPOINT_MAGIC = b"S3FC"
 CHECKPOINT_VERSION = 1
 
-MODES = ("s2f", "s3f", "surf_only")
 STRUCTURE_MODES = ("s2f", "s3f")     # modes that run the residue-graph stack
 SURFACE_MODES = ("s3f", "surf_only")  # modes that run the surface stack
 MASK_TOKEN = N_RESIDUE_TYPES  # row index of the mask token in the toy table
@@ -86,7 +86,7 @@ _SIZE_FLOORS = dict(embed_dim=1, scalar_dim=1, vector_dim=1, init_hidden=1,
 @dataclass(frozen=True)
 class ModelConfig:
     mode: str = "s3f"
-    embedder: str = "toy"          # toy | file
+    embedder: str = "toy"          # one of EMBEDDERS
     embed_dim: int = 64
     scalar_dim: int = 100
     vector_dim: int = 16
@@ -108,13 +108,24 @@ class ModelConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise DataError(f"unknown mode {self.mode!r}")
-        if self.embedder not in ("toy", "file"):
+        if self.embedder not in EMBEDDERS:
             raise DataError(f"unknown embedder {self.embedder!r}")
         for name, least in _SIZE_FLOORS.items():
             if getattr(self, name) < least:
                 raise DataError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not self.radius_cutoff > 0:
             raise DataError(f"radius_cutoff must be > 0, got {self.radius_cutoff}")
+
+    def check_mode(self, mode: str) -> str:
+        """``mode``, or this config's own if None; a DataError if a model of
+        this config lacks a stack that mode runs."""
+        mode = mode or self.mode
+        if mode not in MODES:
+            raise DataError(f"unknown mode {mode!r}")
+        for stack in (STRUCTURE_MODES, SURFACE_MODES):
+            if mode in stack and self.mode not in stack:
+                raise DataError(f"model built for {self.mode!r} cannot run {mode!r}")
+        return mode
 
     @property
     def rbf(self) -> RbfConfig:
@@ -439,14 +450,6 @@ class FitnessModel:
 
     # ---- forward ----
 
-    def _check_mode(self, mode: str):
-        if mode not in MODES:
-            raise DataError(f"unknown mode {mode!r}")
-        if mode in STRUCTURE_MODES and self.structure_blocks is None:
-            raise DataError(f"model built for {self.config.mode!r} cannot run {mode!r}")
-        if mode in SURFACE_MODES and self.surface_blocks is None:
-            raise DataError(f"model built for {self.config.mode!r} cannot run {mode!r}")
-
     def forward_logits(self, protein: Protein, masked_positions, *,
                        mode: str = None,
                        embeddings: ResidueEmbeddings = None,
@@ -464,8 +467,7 @@ class FitnessModel:
         equal those of a whole-graph pass up to rounding, and training
         takes the same path."""
         cfg = self.config
-        mode = mode or cfg.mode
-        self._check_mode(mode)
+        mode = cfg.check_mode(mode)
         masked = np.asarray(sorted(set(int(p) for p in masked_positions)),
                             dtype=np.int64)
         n_r = protein.n_residues

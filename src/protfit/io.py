@@ -61,10 +61,6 @@ EMBED_VERSION = 1
 _MUTATION_TOKEN = re.compile(r"^([A-Z])(\d+)([A-Z])$")
 
 
-def codes_to_str(codes) -> str:
-    return "".join(RESIDUE_TYPES[c] for c in codes)
-
-
 def mask_context_tag(positions) -> str:
     """Canonical tag recording which positions were masked for an embedding."""
     positions = sorted(int(p) for p in positions)
@@ -113,9 +109,6 @@ class Protein:
     @property
     def n_residues(self) -> int:
         return len(self.sequence)
-
-    def seq_str(self) -> str:
-        return codes_to_str(self.sequence)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import REPORT_FORMATS
 from .errors import DataError
 from .io import AssayTable, read_csv_rows, write_csv
 
@@ -224,6 +225,8 @@ def emit_report(path, results: list, fmt: str = "csv", aggregate: dict = None,
     significance block) as CSV or JSON with identical fields."""
     if not results:
         raise DataError("cannot emit an empty report")
+    if fmt not in REPORT_FORMATS:
+        raise DataError(f"unknown report format {fmt!r}")
     if aggregate is None:
         aggregate = aggregate_results(results)
     if fmt == "csv":
@@ -239,7 +242,7 @@ def emit_report(path, results: list, fmt: str = "csv", aggregate: dict = None,
             rows.append([f"SIGNIFICANCE:{key}", repr(significance[key])])
         write_csv(path, ["assay_id", "n_variants", *METRIC_COLUMNS], rows,
                   header_lines)
-    elif fmt == "json":
+    else:
         payload = {
             "assays": [dict(zip(["assay_id", "n_variants", *METRIC_COLUMNS],
                                 r.row())) for r in results],
@@ -254,8 +257,6 @@ def emit_report(path, results: list, fmt: str = "csv", aggregate: dict = None,
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    else:
-        raise DataError(f"unknown report format {fmt!r}")
 
 
 def read_report_csv(path) -> dict:

@@ -106,9 +106,9 @@ def score_assay(model: FitnessModel, protein: Protein, assay: AssayTable, *,
     ``embeddings_provider`` is a callable mapping a MutationSet to
     ResidueEmbeddings masked at its sites (file-mode models only).
     """
+    mode = model.config.check_mode(mode)
     if not np.isfinite(plddt_threshold):
         raise DataError(f"plddt_threshold must be finite, got {plddt_threshold}")
-    mode = mode or model.config.mode
     if mode in SURFACE_MODES and base_cloud is None:
         raise DataError(f"mode {mode!r} requires a surface cloud")
     results = [None] * len(assay.variants)

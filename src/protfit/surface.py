@@ -106,8 +106,10 @@ def _field(points: np.ndarray, atoms: np.ndarray, smoothing: float,
     each distance adds dx^2, dy^2 and dz^2 left to right, the weight sum
     is numpy's pairwise sum over one contiguous row of atoms per point,
     and each gradient adds its atoms' terms one after another in atom
-    order.
+    order. ``atoms`` must be a non-empty (atoms, 3) array.
     """
+    if atoms.ndim != 2 or len(atoms) < 1:
+        raise DataError("need at least one atom")
     points = np.atleast_2d(points)
     m = len(points)
     f = np.empty(m)
@@ -137,24 +139,6 @@ def _field(points: np.ndarray, atoms: np.ndarray, smoothing: float,
             diff /= d[:, None, :]
             g[start:stop] = diff.sum(axis=0).T
     return (f, g) if with_grad else f
-
-
-def _at_one_point(x, atoms, cfg: SurfaceConfig, with_grad: bool):
-    atoms = np.asarray(atoms, dtype=np.float64)
-    if atoms.ndim != 2 or len(atoms) < 1:
-        raise DataError("need at least one atom")
-    return _field(np.asarray(x, dtype=np.float64)[None, :], atoms,
-                  (cfg or SurfaceConfig()).smoothing, with_grad=with_grad)
-
-
-def smooth_distance(x, atoms, cfg: SurfaceConfig = None) -> float:
-    """Soft-min of distances from x to the atoms (tends to the true minimum
-    distance as smoothing goes to zero)."""
-    return float(_at_one_point(x, atoms, cfg, False)[0])
-
-
-def smooth_distance_grad(x, atoms, cfg: SurfaceConfig = None) -> np.ndarray:
-    return _at_one_point(x, atoms, cfg, True)[1][0]
 
 
 # ---------------------------------------------------------------------------

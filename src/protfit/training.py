@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import OPTIMIZERS
 from .errors import DataError, NumericsError
 from .gvp import (SURFACE_MODES, Corruption, FitnessModel, ModelConfig,
                   save_checkpoint)
@@ -57,7 +58,7 @@ class TrainConfig:
     learning_rate: float = 1e-4
     seed: int = 0
     grad_clip: float = 1.0
-    optimizer: str = "adam"       # adam | sgd
+    optimizer: str = "adam"       # one of OPTIMIZERS
     checkpoint_every: int = 0     # epochs between checkpoints; 0 = final only
 
     def __post_init__(self):
@@ -66,7 +67,7 @@ class TrainConfig:
                             f"positive, got {self.epochs} and {self.learning_rate}")
         if self.batch_size is not None and self.batch_size < 1:
             raise DataError("batch_size must be positive")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise DataError(f"unknown optimizer {self.optimizer!r}")
         # 0 turns clipping or periodic checkpoints off; negatives mean nothing
         for name in ("grad_clip", "checkpoint_every"):

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -142,13 +141,19 @@ def test_negative_threads_is_usage_error(tmp_path, capsys, monkeypatch, command)
 
 def test_cli_import_leaves_numpy_unloaded():
     """``main`` applies ``--threads`` before numpy loads, so importing the
-    command-line module must not load it; package names still resolve."""
-    probe = ("import sys, protfit.cli; loaded = 'numpy' in sys.modules; "
-             "import protfit; print(loaded, protfit.FitnessModel.__name__)")
+    command-line module must not load it; package names still resolve.
+    The import is also kept small: no ``dataclasses`` (the config classes
+    are read only inside the commands) and no protfit module but the
+    package and its errors."""
+    probe = ("import sys, protfit.cli; "
+             "loaded = sorted(m for m in sys.modules if m == 'numpy' "
+             "or m == 'dataclasses' or m.split('.')[0] == 'protfit'); "
+             "import protfit; print(*loaded, protfit.FitnessModel.__name__)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "FitnessModel"]
+    assert proc.stdout.split() == ["protfit", "protfit.cli", "protfit.errors",
+                                   "FitnessModel"]
 
 
 def test_unknown_flag_is_usage_error(workspace):
@@ -318,12 +323,20 @@ def test_pretrain_defaults_are_the_model_config_defaults(workspace, tmp_path):
     assert load_checkpoint(tmp_path / "checkpoint.s3fc").config == ModelConfig()
 
 
-def test_surface_defaults_are_the_surface_config_defaults():
-    fields = {f.name: f.default for f in dataclasses.fields(SurfaceConfig)}
-    shared = cli._SURFACE_DEFAULTS.keys() & fields.keys()
-    assert shared == cli._SURFACE_DEFAULTS.keys() - {"paper_scale"}
-    assert {k: cli._SURFACE_DEFAULTS[k] for k in shared} == {
-        k: fields[k] for k in shared}
+@pytest.mark.parametrize("argv, n_keys, config_hash", [
+    (["surface", "s.tsv", "--out", "o"], 11, "29ae12b18b2adbac"),
+    (["pretrain", "corpus", "--out-dir", "o"], 24, "02d6b4df92d42cf8"),
+    (["score", "c.s3fc", "s.tsv", "a.csv", "--out", "o"], 15, "d83ad28627f27309"),
+    (["eval", "--scores", "s.csv", "--assay", "a.csv", "--out", "o"], 4,
+     "1863016674946587"),
+], ids=["surface", "pretrain", "score", "eval"])
+def test_default_resolved_config_is_pinned(argv, n_keys, config_hash):
+    """With no option set, each command resolves to the same config (and
+    so writes the same header) as when its defaults were written out in
+    the command-line module."""
+    resolved = cli._resolve(cli.build_parser().parse_args(argv))
+    assert len(resolved) == n_keys
+    assert cli._hash_config(resolved) == config_hash
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +465,40 @@ def test_score_truncated_checkpoint_exits_2(workspace, trained, tmp_path):
                    *SURFACE_FLAGS)
     assert proc.returncode == 2, proc.stderr
     assert "truncated checkpoint" in proc.stderr
+
+
+@pytest.mark.parametrize("mode, wild_type_only", [
+    ("s3f", True), ("s3f", False), ("surf_only", False)])
+def test_score_mode_the_checkpoint_cannot_run_generates_no_surface(
+        workspace, tmp_path, capsys, monkeypatch, mode, wild_type_only):
+    """An s2f checkpoint has no surface stack. The mode is checked against
+    it before any work, so the run exits 2 without generating a surface
+    or writing scores, even for an assay that needs no forward pass."""
+    root, _, _ = workspace
+    checkpoint = tmp_path / "s2f" / "checkpoint.s3fc"
+    assert cli.main([str(a) for a in (
+        "pretrain", root / "corpus", "--out-dir", checkpoint.parent,
+        "--mode", "s2f", "--epochs", "0", *MODEL_FLAGS)]) == 0
+    assay = root / "assay.csv"
+    if wild_type_only:
+        assay = tmp_path / "wt.csv"
+        assay.write_text("mutant,DMS_score\nWT,0.0\n")
+    calls = []
+    real = surface.generate_surface
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(surface, "generate_surface", counted)
+    out = tmp_path / "scores.csv"
+    code = cli.main([str(a) for a in (
+        "score", checkpoint, root / "corpus" / "motif000.tsv", assay,
+        "--out", out, "--mode", mode, *SURFACE_FLAGS)])
+    assert code == 2
+    assert f"model built for 's2f' cannot run {mode!r}" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 def test_score_ablation_mode_override(workspace, trained, tmp_path):

@@ -21,7 +21,7 @@ PDB_SIDECHAIN = ("ATOM      3  CB  ALA A   1       1.000   1.000   1.000"
 def test_pdb_min_single_ca():
     protein = parse_structure(PDB_CA_LINE + "\n", "pdb-min")
     assert protein.n_residues == 1
-    assert protein.seq_str() == "A"
+    assert protein.sequence.tolist() == [RESIDUE_TYPES.index("A")]
     assert protein.plddt[0] == 95.0
     assert np.array_equal(protein.ca_coords, np.zeros((1, 3)))
 

@@ -318,6 +318,17 @@ def test_non_finite_log_probs_raise_numerics_error():
         score_assay(stub, protein, assay)
 
 
+@pytest.mark.parametrize("mode", ["s3f", "surf_only"])
+def test_mode_the_model_cannot_run_is_rejected_on_entry(mode):
+    """Checked before any variant is routed, so an assay that needs no
+    forward pass (wild type only) is rejected too."""
+    protein = make_coil_protein(8, seed=2)
+    assay = AssayTable(protein_id="p", variants=(AssayVariant("WT", 0.0),))
+    with pytest.raises(DataError, match=f"cannot run '{mode}'"):
+        score_assay(s2f_model(), protein, assay, base_cloud=make_cloud(protein),
+                    mode=mode)
+
+
 # ---------------------------------------------------------------------------
 # z-score ensembling
 # ---------------------------------------------------------------------------

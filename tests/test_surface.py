@@ -9,9 +9,8 @@ from protfit.io import Protein
 from protfit.surface import (SurfaceConfig, SurfacePointCloud,
                              _field, _gaussian_curvature,
                              _heat_kernel_signature, excise_near_residue,
-                             generate_surface, read_cloud_tsv, smooth_distance,
-                             smooth_distance_grad, surface_features,
-                             write_cloud_tsv)
+                             generate_surface, read_cloud_tsv,
+                             surface_features, write_cloud_tsv)
 
 SMALL = SurfaceConfig(min_points=64, max_points=384, seeds_per_atom=20)
 
@@ -31,12 +30,11 @@ def fibonacci_sphere(n, radius=1.0):
 # ---------------------------------------------------------------------------
 
 def test_soft_min_single_atom_is_exact_distance():
-    assert smooth_distance(np.array([5.0, 0, 0]), np.zeros((1, 3))) == pytest.approx(5.0, abs=1e-12)
+    assert _field(np.array([5.0, 0, 0]), np.zeros((1, 3)), 1.0)[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_soft_min_two_coincident_atoms():
-    value = smooth_distance(np.array([5.0, 0, 0]), np.zeros((2, 3)),
-                            SurfaceConfig(smoothing=1.0))
+    value = _field(np.array([5.0, 0, 0]), np.zeros((2, 3)), 1.0)[0]
     assert value == pytest.approx(5.0 - np.log(2.0), abs=1e-12)
 
 
@@ -44,24 +42,23 @@ def test_soft_min_below_true_min_and_converges(rng):
     atoms = rng.uniform(0, 10, (8, 3))
     x = rng.uniform(0, 10, 3)
     true_min = np.linalg.norm(atoms - x, axis=1).min()
-    assert smooth_distance(x, atoms) <= true_min + 1e-12
-    sharp = smooth_distance(x, atoms, SurfaceConfig(smoothing=0.01))
+    assert _field(x, atoms, SurfaceConfig().smoothing)[0] <= true_min + 1e-12
+    sharp = _field(x, atoms, 0.01)[0]
     assert sharp == pytest.approx(true_min, abs=1e-6)
 
 
 def test_soft_min_gradient_matches_finite_differences(rng):
     atoms = rng.uniform(0, 10, (12, 3))
-    cfg = SurfaceConfig()
+    s = SurfaceConfig().smoothing
     for _ in range(5):
         x = rng.uniform(-2, 12, 3)
-        grad = smooth_distance_grad(x, atoms, cfg)
+        grad = _field(x, atoms, s, with_grad=True)[1][0]
         h = 1e-5
         fd = np.zeros(3)
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            fd[k] = (smooth_distance(x + e, atoms, cfg)
-                     - smooth_distance(x - e, atoms, cfg)) / (2 * h)
+            fd[k] = (_field(x + e, atoms, s)[0] - _field(x - e, atoms, s)[0]) / (2 * h)
         assert np.abs(grad - fd).max() / max(np.linalg.norm(fd), 1e-9) < 1e-6
 
 
@@ -104,15 +101,14 @@ def test_field_rows_do_not_depend_on_the_batch(rng):
     for i, x in enumerate(points):
         fi, gi = _field(x, atoms, 1.0, with_grad=True)
         assert fi[0] == f[i] and np.array_equal(gi[0], g[i])
-        assert smooth_distance(x, atoms) == f[i]
-        assert np.array_equal(smooth_distance_grad(x, atoms), g[i])
 
 
-@pytest.mark.parametrize("fn", [smooth_distance, smooth_distance_grad])
+@pytest.mark.parametrize("with_grad", [False, True],
+                         ids=["smooth_distance", "smooth_distance_grad"])
 @pytest.mark.parametrize("atoms", [np.empty((0, 3)), np.zeros(3)])
-def test_smooth_distance_needs_an_atom_array(fn, atoms):
+def test_smooth_distance_needs_an_atom_array(with_grad, atoms):
     with pytest.raises(DataError, match="need at least one atom"):
-        fn(np.zeros(3), atoms)
+        _field(np.zeros(3), atoms, 1.0, with_grad=with_grad)
 
 
 # ---------------------------------------------------------------------------
