@@ -14,10 +14,11 @@ neither, so inference builds no tape.
 
 Only the ops the network needs are implemented: elementwise arithmetic
 with broadcasting, affine maps of split row blocks (``linear_split``,
-which also mixes vector channels), 2-D transpose, reshape and concat, row
-gather/scatter, sorted-segment sums, reductions, and the usual
-nonlinearities. All reductions use fixed summation orders, so repeated
-runs are bit-identical.
+which also mixes vector channels and projects gathered rows before the
+gather), 2-D transpose and reshape, row gather and substitution,
+sorted-segment sums, reductions, and the usual nonlinearities. All
+reductions use fixed summation orders, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import sys
 from contextlib import contextmanager
 
 import numpy as np
+
+from .errors import DataError
 
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
@@ -127,7 +130,11 @@ class Tensor:
             self.grad = self.grad + grad
 
     def backward(self, grad=None):
-        """Accumulate gradients of this (scalar) tensor w.r.t. every parent."""
+        """Accumulate gradients of this (scalar) tensor w.r.t. every parent.
+
+        Leaves (tensors no op made) add the result into ``.grad``. An op's
+        output holds its gradient only while its VJPs run, so a second
+        backward over the same tape adds the same gradients again."""
         if grad is None:
             grad = np.ones_like(self.data)
         topo, seen = [], set()
@@ -151,6 +158,7 @@ class Tensor:
             for p, vjp in zip(node._parents, node._backward, strict=True):
                 if p.requires_grad:
                     p._accumulate(vjp(node.grad))
+            node.grad = None
 
     # ---- operator sugar ----
     def __add__(self, other):
@@ -252,25 +260,74 @@ def div(a, b) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
+class _RowFold:
+    """``g -> _scatter_rows(idx, g, n)``: the output gradient of a gathered
+    ``linear_split`` part summed onto the rows it was gathered from. A
+    one-slot cache holds the last ``g`` (matched by identity, so a new
+    backward never reads an old fold), which lets the part's VJP and the
+    weight VJP share one scatter; the weight VJP, the last to run, empties
+    the slot."""
+
+    __slots__ = ("idx", "n", "g", "folded")
+
+    def __init__(self, idx: np.ndarray, n: int):
+        self.idx, self.n = idx, n
+        self.g = self.folded = None
+
+    def __call__(self, g: np.ndarray) -> np.ndarray:
+        if self.g is not g:
+            self.g, self.folded = g, _scatter_rows(self.idx, g, self.n)
+        return self.folded
+
+    def release(self) -> None:
+        self.g = self.folded = None
+
+
 def linear_split(parts, w, b=None) -> Tensor:
     """Affine map of a conceptual concat without materializing it:
     sum_i parts[i] @ w[rows_i] (+ b), where w's rows are split by the
-    parts' widths."""
-    parts = [as_tensor(p) for p in parts]
+    parts' widths.
+
+    A part may be a ``(tensor, idx)`` pair, standing for the gathered rows
+    ``tensor[idx]`` (graph edges reading their source nodes, say). It is
+    projected before the gather, ``(tensor @ w[rows_i])[idx]``, so the
+    matmul runs over the tensor's rows however often idx repeats them. Its
+    backward sums the output gradient onto those rows once, and the part's
+    VJP and the weight VJP both multiply over them. Parts are added in
+    order and the bias last, as for rows gathered first; the two can still
+    differ in the last bit, since BLAS may round a row of a product
+    differently when the product has another number of rows."""
+    pairs = [p if isinstance(p, tuple) else (p, None) for p in parts]
+    tensors = [as_tensor(t) for t, _ in pairs]
+    folds = [None if idx is None
+             else _RowFold(np.asarray(idx, dtype=np.int64), t.data.shape[0])
+             for t, (_, idx) in zip(tensors, pairs)]
     w = as_tensor(w)
-    rows = _blocks([p.data.shape[1] for p in parts])
-    out = parts[0].data @ w.data[rows[0]]
-    for p, r in zip(parts[1:], rows[1:]):
-        out += p.data @ w.data[r]
+    rows = _blocks([t.data.shape[1] for t in tensors])
+    out = None
+    for t, fold, r in zip(tensors, folds, rows):
+        term = t.data @ w.data[r]
+        if fold is not None:
+            term = term[fold.idx]
+        if out is None:
+            out = term
+        else:
+            out += term
+
+    def rows_grad(fold, g):
+        return g if fold is None else fold(g)
 
     def vjp_w(g):
         gw = np.empty_like(w.data)
-        for p, r in zip(parts, rows):
-            gw[r] = p.data.T @ g
+        for t, fold, r in zip(tensors, folds, rows):
+            gw[r] = t.data.T @ rows_grad(fold, g)
+            if fold is not None:
+                fold.release()
         return gw
 
-    parents = (*parts, w)
-    vjps = [lambda g, r=r: g @ w.data[r].T for r in rows] + [vjp_w]
+    parents = (*tensors, w)
+    vjps = [lambda g, fold=fold, r=r: rows_grad(fold, g) @ w.data[r].T
+            for fold, r in zip(folds, rows)] + [vjp_w]
     if b is not None:
         b = as_tensor(b)
         out = out + b.data
@@ -320,9 +377,13 @@ def substitute_rows(base, idx, rows) -> Tensor:
 
 def segment_sum(x, seg: np.ndarray, n_segments: int) -> Tensor:
     """Sum rows of x into n_segments buckets. ``seg`` must be sorted
-    ascending (graph edges already are); empty segments stay zero."""
+    ascending (graph edges already are) and lie in [0, n_segments), else
+    a DataError; empty segments stay zero."""
     x = as_tensor(x)
     seg = np.asarray(seg, dtype=np.int64)
+    if len(seg) and (seg[0] < 0 or seg[-1] >= n_segments
+                     or (seg[1:] < seg[:-1]).any()):
+        raise DataError(f"segment ids must be sorted and in [0, {n_segments})")
     out = np.zeros((n_segments,) + x.data.shape[1:])
     if len(seg):
         starts = np.concatenate([[0], np.flatnonzero(np.diff(seg)) + 1])

@@ -14,7 +14,10 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 Importing this module loads no numpy (the package ``__init__`` is lazy
 too): the command functions import it only after ``main`` has written
 ``--threads`` into the OpenBLAS, OpenMP and MKL thread-count variables,
-which BLAS reads once, when it loads.
+which BLAS reads once, when it loads. The cap defaults to one thread,
+over whatever the environment sets: OpenBLAS splits long matrix products
+across threads, which changes their rounding, so only a fixed count keeps
+outputs bit-reproducible. ``--threads 0`` leaves the environment alone.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ def _non_negative(text: str) -> int:
 
 
 def _add_threads(parser):
-    parser.add_argument("--threads", type=_non_negative, default=None,
-                        help="cap BLAS thread count (0: no cap)")
+    parser.add_argument("--threads", type=_non_negative, default=1,
+                        help="cap BLAS thread count (default 1, which keeps "
+                             "runs bit-reproducible; 0: no cap)")
 
 
 def _add_common(parser):

@@ -153,18 +153,30 @@ class ModelConfig:
 def _channel_mix(w, vectors: list) -> Tensor:
     """(o, c) weights applied to the channels of (n, 3, c) vector parts,
     taken as one channel-axis concat. x, y and z rows all go through the
-    same map, which keeps it rotation-equivariant."""
-    n = vectors[0].shape[0]
-    rows = [ad.reshape(v, (3 * n, v.shape[2])) for v in vectors]
+    same map, which keeps it rotation-equivariant. A part may be a
+    ``(vector, idx)`` pair for the rows ``vector[idx]``, mixed before the
+    gather as in ``ad.linear_split``: in the (3n, c) view its rows are
+    ``3 * idx + [0, 1, 2]``."""
+    rows = []
+    for part in vectors:
+        v, idx = part if isinstance(part, tuple) else (part, None)
+        flat = ad.reshape(v, (3 * v.shape[0], v.shape[2]))
+        if idx is None:
+            rows.append(flat)
+        else:
+            idx = np.asarray(idx, dtype=np.int64)
+            rows.append((flat, (3 * idx[:, None] + np.arange(3)).reshape(-1)))
     out = ad.linear_split(rows, ad.transpose(w))
-    return ad.reshape(out, (n, 3, out.shape[1]))
+    return ad.reshape(out, (out.shape[0] // 3, 3, out.shape[1]))
 
 
 def gvp_apply(p: GvpParams, scalar, vector):
     """One geometric vector perceptron on a batch of (scalar, vector) rows.
 
     Scalar and vector inputs may each be a list of tensors, treated as a
-    feature-axis concatenation (node state plus edge features, say).
+    feature-axis concatenation (node state plus edge features, say). A
+    list entry may be a ``(tensor, idx)`` pair for the rows
+    ``tensor[idx]``, projected before the gather (``ad.linear_split``).
     """
     scalars = scalar if isinstance(scalar, list) else [scalar]
     vectors = vector if isinstance(vector, list) else [vector]
@@ -209,6 +221,17 @@ def receptive_sets(graph: SpatialGraph, out_nodes, n_layers: int) -> list:
     return sets
 
 
+def _positions(rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Index of each node in the sorted set ``rows``; a DataError if one
+    is missing."""
+    pos = np.searchsorted(rows, nodes)
+    found = pos < len(rows)
+    found[found] = rows[pos[found]] == nodes[found]
+    if not found.all():
+        raise DataError(f"node {nodes[~found][0]} is not in the layer's node set")
+    return pos
+
+
 def run_message_passing(blocks, graph: SpatialGraph, state: GvpState,
                         normalize: bool = True, node_sets=None) -> GvpState:
     """Residual message passing: per block, add the mean GVP message over
@@ -223,30 +246,39 @@ def run_message_passing(blocks, graph: SpatialGraph, state: GvpState,
     node_sets[l + 1] (still in (dst, src) order) and dividing by the true
     in-degree. Layer norm and vector rescale act per row, so each kept row
     gets the same arithmetic as on the whole graph. None means every node
-    at every layer."""
+    at every layer. A state whose row count is not len(node_sets[0]), or
+    a set that lacks a row of the next set or one of its in-neighbors, is
+    a DataError.
+
+    The message GVP takes the source rows as ``(state, src)`` pairs, so
+    its node-state weights multiply the rows of node_sets[l] before they
+    are gathered onto edges (``ad.linear_split``)."""
     if node_sets is None:
         node_sets = [np.arange(graph.n_nodes)] * (len(blocks) + 1)
     if len(node_sets) != len(blocks) + 1:
         raise DataError(f"{len(blocks)} blocks need {len(blocks) + 1} node sets, "
                         f"got {len(node_sets)}")
     scalar, vector = state.scalar, state.vector
+    if scalar.shape[0] != len(node_sets[0]) or vector.shape[0] != len(node_sets[0]):
+        raise DataError(f"state has {scalar.shape[0]} scalar and {vector.shape[0]} "
+                        f"vector rows, node_sets[0] has {len(node_sets[0])}")
     for block, rows_in, rows_out in zip(blocks, node_sets, node_sets[1:]):
         n_out = len(rows_out)
+        keep = _positions(rows_in, rows_out)
         into = np.zeros(graph.n_nodes, dtype=bool)
         into[rows_out] = True
         edges = np.flatnonzero(into[graph.dst])
         kept_s, kept_v = scalar, vector
         if n_out < len(rows_in):
-            keep = np.searchsorted(rows_in, rows_out)
             kept_s, kept_v = ad.gather(scalar, keep), ad.gather(vector, keep)
         if len(edges):
-            src = np.searchsorted(rows_in, graph.src[edges])
-            dst = np.searchsorted(rows_out, graph.dst[edges])
+            src = _positions(rows_in, graph.src[edges])
+            dst = _positions(rows_out, graph.dst[edges])
             inv_deg = 1.0 / np.maximum(np.bincount(dst, minlength=n_out), 1)
             msg_s, msg_v = gvp_apply(
                 block.message,
-                [ad.gather(scalar, src), Tensor(graph.edge_scalar[edges])],
-                [ad.gather(vector, src), Tensor(graph.edge_vec[edges, :, None])])
+                [(scalar, src), Tensor(graph.edge_scalar[edges])],
+                [(vector, src), Tensor(graph.edge_vec[edges, :, None])])
             kept_s = kept_s + ad.segment_sum(msg_s, dst, n_out) * inv_deg[:, None]
             kept_v = kept_v + ad.segment_sum(msg_v, dst, n_out) * inv_deg[:, None, None]
         scalar, vector = kept_s, kept_v

@@ -97,6 +97,92 @@ def test_linear_split_matches_concat(rng):
           [a, b, w, bias])
 
 
+def _small_ints(rng, shape):
+    """Integer-valued floats: every product and sum below is exact, so
+    two evaluation orders agree bit for bit on any BLAS."""
+    return rng.integers(-4, 5, shape).astype(float)
+
+
+def test_linear_split_gathered_part_equals_gather_first(rng):
+    t = Parameter(_small_ints(rng, (6, 4)))
+    b = Parameter(_small_ints(rng, (7, 2)))
+    w = Parameter(_small_ints(rng, (6, 5)))
+    bias = Parameter(_small_ints(rng, 5))
+    idx = np.array([0, 2, 2, 4, 0, 5, 2])
+    got = ad.linear_split([(t, idx), b], w, bias)
+    want = ad.linear_split([ad.gather(t, idx), b], w, bias)
+    assert np.array_equal(got.data, want.data)
+    # a gathered part after a plain one, and with real-valued data
+    t.data, w.data = rng.standard_normal((6, 4)), rng.standard_normal((6, 5))
+    got = ad.linear_split([b, (t, idx)], w)
+    want = ad.linear_split([b, ad.gather(t, idx)], w)
+    assert np.allclose(got.data, want.data, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("idx", [[0, 2, 2, 4, 0], [5, 5, 5], []],
+                         ids=["repeats-and-unused-rows", "one-row-repeated", "empty"])
+def test_linear_split_gathered_part_gradients(rng, idx):
+    idx = np.array(idx, dtype=np.int64)
+    t = Parameter(rng.standard_normal((6, 4)))
+    e = Parameter(rng.standard_normal((len(idx), 3)))
+    w = Parameter(rng.standard_normal((7, 5)))
+    bias = Parameter(rng.standard_normal(5))
+    weights = Tensor(rng.standard_normal((len(idx), 5)))
+    check(lambda: ad.tsum(ad.sigmoid(ad.linear_split([(t, idx), e], w, bias))
+                          * weights), [p for p in (t, e, w, bias) if p.data.size])
+    # the same tensor gathered twice, once as the second part
+    w2 = Parameter(rng.standard_normal((8, 2)))
+    check(lambda: ad.tsum(ad.sigmoid(ad.linear_split(
+        [(t, idx), (t, idx[::-1])], w2))), [t, w2])
+
+
+def test_channel_mix_gathered_part(rng):
+    w = Parameter(_small_ints(rng, (4, 5)))
+    v1 = Parameter(_small_ints(rng, (6, 3, 2)))
+    v2 = Parameter(_small_ints(rng, (5, 3, 3)))
+    idx = np.array([3, 0, 0, 5, 1])
+    got = _channel_mix(w, [(v1, idx), v2])
+    assert got.shape == (5, 3, 4)
+    assert np.array_equal(got.data, _channel_mix(w, [ad.gather(v1, idx), v2]).data)
+    v1.data, v2.data = rng.standard_normal((6, 3, 2)), rng.standard_normal((5, 3, 3))
+
+    def fn():
+        out = _channel_mix(w, [(v1, idx), v2])
+        return ad.tsum(out * out)
+
+    check(fn, [w, v1, v2])
+
+
+@pytest.mark.parametrize("needs_grad", ["both", "part", "weight"])
+def test_backward_twice_doubles_gradients(rng, needs_grad):
+    """The gathered part's fold is shared by its VJP and the weight VJP;
+    a second backward over the same tape must fold the new gradient, not
+    reuse the first one."""
+    t = Tensor(rng.standard_normal((5, 3)), requires_grad=needs_grad != "weight")
+    w = Tensor(rng.standard_normal((3, 4)), requires_grad=needs_grad != "part")
+    w2 = Parameter(rng.standard_normal((7, 2)))
+    idx = np.array([4, 1, 1, 0])
+    hidden = ad.relu(ad.linear_split([(t, idx)], w))
+    loss = ad.tsum(ad.sigmoid(ad.linear_split([hidden, (t, idx[::-1])], w2)))
+    leaves = [p for p in (t, w, w2) if p.requires_grad]
+    loss.backward()
+    first = [p.grad.copy() for p in leaves]
+    loss.backward()
+    for p, g in zip(leaves, first):
+        assert np.allclose(p.grad, 2.0 * g, rtol=1e-14, atol=0)
+    loss.backward(grad=np.array(3.0))
+    for p, g in zip(leaves, first):
+        assert np.allclose(p.grad, 5.0 * g, rtol=1e-14, atol=0)
+    assert loss.grad is None and hidden.grad is None
+
+
+def test_segment_sum_rejects_unsorted_or_out_of_range_ids():
+    x = Tensor(np.ones((4, 2)))
+    for seg in ([0, 2, 1, 3], [-1, 0, 1, 1], [0, 1, 2, 4]):
+        with pytest.raises(DataError, match="sorted"):
+            ad.segment_sum(x, np.array(seg), 4)
+
+
 def test_gather_and_segment_sum(rng):
     x = Parameter(rng.standard_normal((6, 4)))
     idx = np.array([0, 0, 2, 5, 5, 5])

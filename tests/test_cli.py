@@ -221,6 +221,37 @@ def test_pretrain_deterministic_checkpoints(workspace, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_default_thread_cap_outputs_do_not_depend_on_blas_env(tmp_path):
+    """With no --threads flag, pretrain and score write the same bytes
+    whether the environment asks OpenBLAS for one thread or two. Default
+    model widths on 40-residue proteins with desk-scale clouds are large
+    enough that an uncapped two-thread run splits the weight-gradient
+    products and moves the optimizer state (ROADMAP item 7)."""
+    proteins = make_motif_corpus(tmp_path / "corpus", n_proteins=3, n_res=40, seed=0)
+    rng = np.random.default_rng(1)
+    with open(tmp_path / "assay.csv", "w") as fh:
+        fh.write("mutant,DMS_score\n")
+        for v in make_synthetic_variants(proteins[0], 12, rng):
+            fh.write(f"{v},{rng.normal():.6f}\n")
+    desk = ["--min-points", "128", "--max-points", "224", "--seeds-per-atom", "16"]
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        for argv in (["pretrain", tmp_path / "corpus", "--out-dir", out,
+                      "--epochs", "1", "--batch-size", "2", *desk],
+                     ["score", out / "checkpoint.s3fc", tmp_path / "corpus" / "motif000.tsv",
+                      tmp_path / "assay.csv", "--out", out / "scores.csv", *desk]):
+            proc = subprocess.run([sys.executable, "-m", "protfit", *map(str, argv)],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+        written.append({name: (out / name).read_bytes()
+                        for name in ("checkpoint.s3fc", "checkpoint.state.npz",
+                                     "loss_log.csv", "scores.csv")})
+    for name, data in written[0].items():
+        assert written[1][name] == data, name
+
+
 def test_pretrain_divergence_exits_3(workspace, tmp_path):
     # unnormalized blocks + unclipped giant SGD steps overflow in a few steps
     root, _, _ = workspace

@@ -635,6 +635,32 @@ def test_message_passing_on_node_sets_matches_full_rows(rng, normalize):
                             sets[1:])
 
 
+def test_message_passing_rejects_state_and_sets_that_do_not_fit(rng):
+    """A whole-graph state with receptive sets, or a set that misses a row
+    the next layer reads, is a DataError rather than wrong rows or a raw
+    IndexError."""
+    graph = _graph_with_isolated_nodes(7)
+    model = small_model()
+    blocks = model.structure_blocks
+    state = _random_state(rng, graph.n_nodes, 10, 3)
+    sets = receptive_sets(graph, [0, 5], len(blocks))
+    assert len(sets[0]) < graph.n_nodes
+    with pytest.raises(DataError, match="rows"):
+        run_message_passing(blocks, graph, state, True, sets)
+
+    def part(rows):
+        return GvpState(scalar=ad.gather(state.scalar, rows),
+                        vector=ad.gather(state.vector, rows))
+
+    in_neighbor = graph.src[graph.dst == sets[1][0]][0]
+    no_neighbor = [sets[0][sets[0] != in_neighbor], *sets[1:]]
+    no_next_row = [sets[0][sets[0] != sets[1][-1]], *sets[1:]]
+    beyond = [*sets[:-1], np.append(sets[-1], graph.n_nodes)]
+    for bad in (no_neighbor, no_next_row, beyond):
+        with pytest.raises(DataError, match="not in the layer's node set"):
+            run_message_passing(blocks, graph, part(bad[0]), True, bad)
+
+
 def _grads(model, log_probs, weights):
     model.zero_grad()
     ad.tsum(log_probs * Tensor(weights)).backward()
