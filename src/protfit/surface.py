@@ -13,6 +13,10 @@ Per-point geometric features are a Gaussian curvature estimate (local
 quadric fit in the tangent frame) and heat kernel signatures from the
 lowest eigenpairs of the symmetric normalized Laplacian of the surface
 kNN graph, from one shift-invert ``eigsh`` solve at every cloud size.
+Its shifted Laplacian is factored once, by SuperLU in symmetric mode,
+and ``eigsh`` applies that factor's solve as the inverse operator. Both
+features read column prefixes of one neighbour table, from a single
+``cross_knn`` self-query of the cloud.
 """
 
 from __future__ import annotations
@@ -53,13 +57,21 @@ class SurfaceConfig:
             object.__setattr__(self, "level", 1.0 * self.atom_radius)
         if self.min_points > self.max_points:
             raise DataError("min_points must be <= max_points")
-        for name in ("atom_radius", "smoothing", "level"):
+        for name in ("atom_radius", "smoothing", "level", "level_tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise DataError(f"{name} must be finite and positive, "
                                 f"got {getattr(self, name)}")
-        if min(self.seeds_per_atom, self.min_points, self.knn_k,
-               self.curvature_k, self.hks_eigenpairs) < 1:
-            raise DataError("surface counts must be positive")
+        for name in ("seeds_per_atom", "min_points", "knn_k", "curvature_k",
+                     "hks_eigenpairs", "max_seed_rounds"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be positive, "
+                                f"got {getattr(self, name)}")
+        # the model reads 1 + len(hks_times) feature columns per point
+        times = np.asarray(self.hks_times, dtype=np.float64)
+        if times.ndim != 1 or len(times) == 0 or not (
+                (times > 0) & (times < np.inf)).all():
+            raise DataError(f"hks_times must be a non-empty sequence of finite "
+                            f"positive times, got {self.hks_times}")
 
     def paper_scale(self) -> "SurfaceConfig":
         return replace(self, min_points=6000, max_points=20000)
@@ -145,44 +157,58 @@ def _field(points: np.ndarray, atoms: np.ndarray, smoothing: float,
 # frames
 # ---------------------------------------------------------------------------
 
+# partner offsets in order of preference: i+1, i-1, i+2, i-2, i+3, i-3
+_PARTNER_OFFSETS = np.array([1, -1, 2, -2, 3, -3])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis. Each one is a (1, 3) @ (3, 1)
+    matmul, which numpy sends to the same BLAS dot as a 1-D ``v @ e`` or
+    ``np.linalg.norm(v) ** 2``; an elementwise sum can round otherwise."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _seed_frames(atoms: np.ndarray) -> np.ndarray:
     """Per-atom orthonormal frames from chain-adjacent atoms, so seed
     directions rotate with the molecule. Picking partners by index (not
     by distance) keeps the frames stable even under the exact distance
-    ties of a fixed-bond-length backbone."""
+    ties of a fixed-bond-length backbone.
+
+    e1 points to the first partner (in offset order) that is not
+    coincident, e2 to the first other partner with a clear component
+    orthogonal to e1. The frames are bit-identical to building them atom
+    by atom: a last-bit change can move a Newton seed into another
+    deduplication cell and so change the cloud itself."""
     n = len(atoms)
     frames = np.tile(np.eye(3), (n, 1, 1))
     if n < 2:
         return frames
-    for i in range(n):
-        partners = [j for j in (i + 1, i - 1, i + 2, i - 2, i + 3, i - 3)
-                    if 0 <= j < n]
-        e1 = None
-        rest = []
-        for j in partners:
-            v = atoms[j] - atoms[i]
-            nv = np.linalg.norm(v)
-            if e1 is None and nv > 1e-9:
-                e1 = v / nv
-            else:
-                rest.append(j)
-        if e1 is None:
-            continue
-        e2 = None
-        for j in rest:
-            v = atoms[j] - atoms[i]
-            w = v - (v @ e1) * e1
-            nw = np.linalg.norm(w)
-            if nw > 1e-6 * max(np.linalg.norm(v), 1.0):
-                e2 = w / nw
-                break
-        if e2 is None:
-            # collinear chain: complete with the global axis least aligned
-            # with e1 (deterministic, loses exact equivariance)
-            axis = np.eye(3)[np.argmin(np.abs(e1))]
-            w = axis - (axis @ e1) * e1
-            e2 = w / np.linalg.norm(w)
-        frames[i] = np.stack([e1, e2, np.cross(e1, e2)], axis=1)
+    partner = np.arange(n)[:, None] + _PARTNER_OFFSETS        # (n, 6)
+    inside = (partner >= 0) & (partner < n)
+    v = atoms[np.clip(partner, 0, n - 1)] - atoms[:, None, :]   # (n, 6, 3)
+    nv = np.sqrt(_dot(v, v))
+    ok1 = inside & (nv > 1e-9)
+    # atoms whose partners all coincide with them keep the identity frame
+    has_e1 = np.flatnonzero(ok1.any(axis=1))
+    inside, v, nv, ok1 = inside[has_e1], v[has_e1], nv[has_e1], ok1[has_e1]
+    rows = np.arange(len(has_e1))
+    first = ok1.argmax(axis=1)
+    e1 = v[rows, first] / nv[rows, first][:, None]
+    w = v - _dot(v, e1[:, None, :])[..., None] * e1[:, None, :]
+    nw = np.sqrt(_dot(w, w))
+    ok2 = (inside & (np.arange(len(_PARTNER_OFFSETS)) != first[:, None])
+           & (nw > 1e-6 * np.maximum(nv, 1.0)))
+    second = ok2.argmax(axis=1)
+    e2 = np.empty_like(e1)
+    found = ok2.any(axis=1)
+    e2[found] = w[rows, second][found] / nw[rows, second][found][:, None]
+    # collinear chain: complete with the global axis least aligned with e1
+    # (deterministic, loses exact equivariance)
+    lone = ~found
+    axis = np.eye(3)[np.argmin(np.abs(e1[lone]), axis=1)]
+    w = axis - _dot(axis, e1[lone])[:, None] * e1[lone]
+    e2[lone] = w / np.sqrt(_dot(w, w))[:, None]
+    frames[has_e1] = np.stack([e1, e2, np.cross(e1, e2)], axis=2)
     return frames
 
 
@@ -310,10 +336,11 @@ def generate_surface(protein: Protein, cfg: SurfaceConfig = None,
 # geometric features
 # ---------------------------------------------------------------------------
 
-def _gaussian_curvature(pts, normals, k: int) -> np.ndarray:
+def _gaussian_curvature(pts, normals, idx) -> np.ndarray:
     """Quadric-fit curvature: fit z = a x^2 + b xy + c y^2 over the k
-    nearest neighbors in each point's tangent frame, K = 4ac - b^2."""
-    idx, _ = cross_knn(pts, pts, k + 1)
+    nearest neighbors in each point's tangent frame, K = 4ac - b^2.
+    ``idx`` holds each point's k + 1 nearest points, itself among them."""
+    k = idx.shape[1] - 1
     # the first k entries of each row that are not the point itself
     others = np.argsort(idx == np.arange(len(pts))[:, None], axis=1, kind="stable")
     neigh = np.take_along_axis(idx, others[:, :k], axis=1)
@@ -335,10 +362,12 @@ def _gaussian_curvature(pts, normals, k: int) -> np.ndarray:
     return 4.0 * coef[:, 0] * coef[:, 2] - coef[:, 1] ** 2
 
 
-def _heat_kernel_signature(pts, cfg: SurfaceConfig) -> np.ndarray:
-    n = len(pts)
-    k = min(cfg.knn_k, n - 1)
-    idx, dist = cross_knn(pts, pts, k + 1)
+def _heat_kernel_signature(idx, dist, cfg: SurfaceConfig) -> np.ndarray:
+    """HKS at ``cfg.hks_times`` from the ``cfg.hks_eigenpairs`` lowest
+    eigenpairs of the normalized Laplacian of the Gaussian-weighted kNN
+    graph; ``idx`` and ``dist`` hold each point's k + 1 nearest points,
+    itself among them."""
+    n = len(idx)
     sigma = max(dist[:, 1:].mean(), 1e-9)
     keep = idx != np.arange(n)[:, None]
     rows = np.nonzero(keep)[0]
@@ -351,13 +380,22 @@ def _heat_kernel_signature(pts, cfg: SurfaceConfig) -> np.ndarray:
     dinv = scipy.sparse.diags(deg ** -0.5)
     lap = scipy.sparse.identity(n) - dinv @ w @ dinv
     m = min(cfg.hks_eigenpairs, n - 1)
-    # The Laplacian is singular, so shift-invert about -1e-3 keeps the LU
-    # factor positive definite; a fixed start vector keeps ARPACK off its
+    # The Laplacian is singular, so shift-invert about -1e-3: L + 1e-3 I is
+    # symmetric positive definite, which makes SuperLU's symmetric mode
+    # (diagonal pivots, an A^T + A ordering) stable and leaves less fill
+    # than a general factor. A fixed start vector keeps ARPACK off its
     # process-wide random state, so equal clouds give bit-identical output.
+    shift = -1e-3
     start = np.random.default_rng(0).standard_normal(n)
     try:
+        lu = scipy.sparse.linalg.splu(
+            (lap - shift * scipy.sparse.identity(n)).tocsc(),
+            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True))
         evals, evecs = scipy.sparse.linalg.eigsh(
-            lap.tocsc(), k=m, sigma=-1e-3, which="LM", v0=start)
+            lap, k=m, sigma=shift, which="LM", v0=start,
+            OPinv=scipy.sparse.linalg.LinearOperator(
+                (n, n), matvec=lu.solve, dtype=np.float64))
     except RuntimeError as exc:
         raise NumericsError(f"surface Laplacian eigendecomposition failed: {exc}")
     order = np.argsort(evals)
@@ -376,8 +414,12 @@ def surface_features(cloud: SurfacePointCloud,
     if n < cfg.curvature_k + 1:
         raise DataError(
             f"need at least curvature_k+1={cfg.curvature_k + 1} points, got {n}")
-    curv = _gaussian_curvature(cloud.points, cloud.normals, cfg.curvature_k)
-    hks = _heat_kernel_signature(cloud.points, cfg)
+    # cross_knn sorts each row by (distance, index) with exact distances,
+    # so the first k + 1 columns of one wide query are the (k + 1)-NN table
+    k_curv, k_hks = cfg.curvature_k, min(cfg.knn_k, n - 1)
+    idx, dist = cross_knn(cloud.points, cloud.points, max(k_curv, k_hks) + 1)
+    curv = _gaussian_curvature(cloud.points, cloud.normals, idx[:, :k_curv + 1])
+    hks = _heat_kernel_signature(idx[:, :k_hks + 1], dist[:, :k_hks + 1], cfg)
     feats = np.column_stack([curv, hks])
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)

@@ -346,7 +346,8 @@ def test_criterion_4_surface_validity():
 
     radius = 5.0
     pts = fibonacci_sphere(2000, radius)
-    curv = _gaussian_curvature(pts, pts / radius, cfg.curvature_k)
+    curv = _gaussian_curvature(pts, pts / radius,
+                               cross_knn(pts, pts, cfg.curvature_k + 1)[0])
     curv_err = abs(curv.mean() - 1 / radius ** 2) / (1 / radius ** 2)
 
     protein = make_coil_protein(25, seed=450)

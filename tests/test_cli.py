@@ -13,9 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from protfit import cli, surface
 from protfit.corpus import make_motif_corpus, make_synthetic_variants
+from protfit.errors import NumericsError
 from protfit.gvp import ModelConfig, load_checkpoint
 from protfit.io import load_structure
 from protfit.metrics import bootstrap_diff_stderr, read_report_csv, spearman
@@ -81,6 +83,26 @@ def test_surface_missing_input_names_path(tmp_path):
     proc = run_cli("surface", tmp_path / "nope.tsv", "--out", tmp_path / "x.tsv")
     assert proc.returncode == 2
     assert "nope.tsv" in proc.stderr
+
+
+def test_surface_laplacian_factor_failure_exits_3(workspace, tmp_path,
+                                                  monkeypatch, capsys):
+    root, proteins, _ = workspace
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    cfg = SurfaceConfig(min_points=48, max_points=128, seeds_per_atom=16)
+    cloud = generate_surface(proteins[0], cfg)
+    with pytest.raises(NumericsError, match="exactly singular"):
+        surface.surface_features(cloud, cfg)
+    out = tmp_path / "cloud.tsv"
+    code = cli.main(["surface", str(root / "corpus" / "motif000.tsv"),
+                     "--out", str(out), *SURFACE_FLAGS])
+    assert code == 3
+    assert "exactly singular" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_surface_reruns_bit_identical(workspace, tmp_path):

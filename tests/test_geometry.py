@@ -168,6 +168,23 @@ def test_lattice_exact_ties_match_brute_force():
     assert edge_set(build_radius_graph(coords, 2.0)) == brute_radius_edges(coords, 2.0)
 
 
+@pytest.mark.parametrize("lattice", [False, True], ids=["uniform", "lattice"])
+def test_cross_knn_prefix_is_the_narrower_query(rng, lattice):
+    """Surface features read the k-NN rows of several k off one wide
+    self-query, so a row's first k columns must be the k-NN row exactly,
+    also when only the smaller-index rule orders exact ties."""
+    if lattice:
+        base = rng.integers(0, 6, (180, 3)).astype(float)
+        pts = np.concatenate([base, base[rng.integers(0, 180, 40)]])
+    else:
+        pts = rng.uniform(0, 20, (300, 3))
+    wide_idx, wide_dist = cross_knn(pts, pts, 41)
+    for k in (1, 7, 13, 17, 40):
+        idx, dist = cross_knn(pts, pts, k)
+        assert np.array_equal(wide_idx[:, :k], idx)
+        assert np.array_equal(wide_dist[:, :k], dist)
+
+
 def test_cross_knn_rejects_too_few_refs():
     with pytest.raises(DataError):
         cross_knn(np.zeros((1, 3)), np.zeros((2, 3)), 3)

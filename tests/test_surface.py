@@ -4,11 +4,14 @@ import scipy.linalg
 
 import protfit.surface
 from conftest import make_coil_protein, random_rotation
+from protfit.corpus import make_motif_protein
 from protfit.errors import DataError
+from protfit.geometry import cross_knn
 from protfit.io import Protein
 from protfit.surface import (SurfaceConfig, SurfacePointCloud,
                              _field, _gaussian_curvature,
-                             _heat_kernel_signature, excise_near_residue,
+                             _heat_kernel_signature, _seed_frames,
+                             excise_near_residue,
                              generate_surface, read_cloud_tsv,
                              surface_features, write_cloud_tsv)
 
@@ -23,6 +26,23 @@ def fibonacci_sphere(n, radius=1.0):
     theta = 2 * np.pi * i / golden
     pts = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
     return radius * pts
+
+
+# ---------------------------------------------------------------------------
+# config
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field, value", [
+    ("hks_times", (np.nan,)), ("hks_times", ()), ("hks_times", (1.0, np.inf)),
+    ("hks_times", (0.0, 1.0)), ("hks_times", (-1.0,)),
+    ("level_tol", 0.0), ("level_tol", -1e-3), ("level_tol", np.nan),
+    ("level_tol", np.inf), ("max_seed_rounds", 0), ("max_seed_rounds", -1)])
+def test_surface_config_rejects_values_without_meaning(field, value):
+    """NaN or empty HKS times used to give all-NaN or too few feature
+    columns, and the other values a run that seeds nothing or can never
+    meet its level."""
+    with pytest.raises(DataError, match=field):
+        SurfaceConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +135,72 @@ def test_smooth_distance_needs_an_atom_array(with_grad, atoms):
 # generation
 # ---------------------------------------------------------------------------
 
+def _loop_seed_frames(atoms):
+    """Oracle: the per-atom loop that ``_seed_frames`` vectorizes."""
+    n = len(atoms)
+    frames = np.tile(np.eye(3), (n, 1, 1))
+    if n < 2:
+        return frames
+    for i in range(n):
+        partners = [j for j in (i + 1, i - 1, i + 2, i - 2, i + 3, i - 3)
+                    if 0 <= j < n]
+        e1 = None
+        rest = []
+        for j in partners:
+            v = atoms[j] - atoms[i]
+            nv = np.linalg.norm(v)
+            if e1 is None and nv > 1e-9:
+                e1 = v / nv
+            else:
+                rest.append(j)
+        if e1 is None:
+            continue
+        e2 = None
+        for j in rest:
+            v = atoms[j] - atoms[i]
+            w = v - (v @ e1) * e1
+            nw = np.linalg.norm(w)
+            if nw > 1e-6 * max(np.linalg.norm(v), 1.0):
+                e2 = w / nw
+                break
+        if e2 is None:
+            axis = np.eye(3)[np.argmin(np.abs(e1))]
+            w = axis - (axis @ e1) * e1
+            e2 = w / np.linalg.norm(w)
+        frames[i] = np.stack([e1, e2, np.cross(e1, e2)], axis=1)
+    return frames
+
+
+def _frame_atoms(case):
+    rng = np.random.default_rng(17)
+    if isinstance(case, int) and case > 3:
+        # the residue counts of the benchmark's surface-mixed slots
+        return make_motif_protein("m", case, rng).ca_coords
+    if isinstance(case, int):
+        return 3.8 * rng.standard_normal((case, 3))
+    if case == "collinear":
+        return np.outer(np.arange(9.0), [1.5, -2.0, 0.5]) + 3.0
+    if case == "coincident":
+        atoms = 4.0 * rng.standard_normal((12, 3))
+        atoms[3:6] = atoms[4]          # a run of coincident atoms
+        atoms[9:] = atoms[8]           # a coincident tail
+        return atoms
+    if case == "all-coincident":
+        return np.tile([1.0, -2.0, 0.5], (5, 1))
+    # integer lattice: exact ties and exactly collinear partner triples
+    return rng.integers(0, 4, (60, 3)).astype(float)
+
+
+@pytest.mark.parametrize("case", [80, 156, 88, 170, 96, 184, 104, 200, 1, 2, 3,
+                                  "collinear", "coincident", "all-coincident",
+                                  "lattice"])
+def test_seed_frames_match_the_per_atom_loop(case):
+    """A last-bit change in a frame can move a Newton seed into another
+    deduplication cell, so the vectorized frames must keep the loop's bits."""
+    atoms = _frame_atoms(case)
+    assert np.array_equal(_seed_frames(atoms), _loop_seed_frames(atoms))
+
+
 def test_single_residue_gives_sphere():
     protein = Protein(id="one", sequence=[0], ca_coords=np.zeros((1, 3)))
     cfg = SurfaceConfig(min_points=50, max_points=400, seeds_per_atom=600,
@@ -176,7 +262,7 @@ def test_sphere_curvature_close_to_analytic():
     radius = 5.0
     pts = fibonacci_sphere(2000, radius)
     normals = pts / radius
-    curv = _gaussian_curvature(pts, normals, 12)
+    curv = _gaussian_curvature(pts, normals, cross_knn(pts, pts, 13)[0])
     expected = 1.0 / radius ** 2
     assert abs(curv.mean() - expected) / expected < 0.25
 
@@ -185,7 +271,7 @@ def test_plane_curvature_near_zero(rng):
     xy = rng.uniform(-10, 10, (1500, 2))
     pts = np.column_stack([xy, np.zeros(len(xy))])
     normals = np.tile([0.0, 0.0, 1.0], (len(pts), 1))
-    curv = _gaussian_curvature(pts, normals, 12)
+    curv = _gaussian_curvature(pts, normals, cross_knn(pts, pts, 13)[0])
     reference = 1.0 / 5.0 ** 2
     assert np.abs(curv).mean() < 0.05 * reference
 
@@ -261,7 +347,8 @@ def _hks_case(case, large_surface):
 @pytest.mark.parametrize("case", [1156, 1255, "coil", "large"])
 def test_hks_matches_dense_eigh(case, large_surface):
     pts, cfg = _hks_case(case, large_surface)
-    hks = _heat_kernel_signature(pts, cfg)
+    hks = _heat_kernel_signature(
+        *cross_knn(pts, pts, min(cfg.knn_k, len(pts) - 1) + 1), cfg)
     expected = _dense_hks(pts, cfg)
     assert hks.shape == (len(pts), len(cfg.hks_times))
     np.testing.assert_allclose(hks, expected, rtol=1e-10, atol=0)
@@ -272,6 +359,37 @@ def test_features_need_enough_points():
                               normals=np.tile([0.0, 0.0, 1.0], (6, 1)))
     with pytest.raises(DataError):
         surface_features(cloud, SurfaceConfig(curvature_k=12))
+
+
+@pytest.mark.parametrize("curvature_k, knn_k, n", [(12, 6, 200), (6, 16, 200),
+                                                 (12, 16, 14), (12, 40, 13)],
+                         ids=["curvature-wider", "hks-wider", "few-points",
+                              "curvature-k-plus-one-points"])
+def test_features_read_one_shared_neighbour_table(monkeypatch, rng,
+                                                  curvature_k, knn_k, n):
+    pts = 4.0 * rng.standard_normal((n, 3))
+    normals = rng.standard_normal((n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    cfg = SurfaceConfig(min_points=8, curvature_k=curvature_k, knn_k=knn_k)
+    # oracle: each helper fed its own query of exactly the width it needs
+    curv = _gaussian_curvature(pts, normals,
+                               cross_knn(pts, pts, curvature_k + 1)[0])
+    hks = _heat_kernel_signature(*cross_knn(pts, pts, min(knn_k, n - 1) + 1),
+                                 cfg)
+    expected = np.column_stack([curv, hks])
+    std = expected.std(axis=0)
+    std[std < 1e-12] = 1.0
+    expected = (expected - expected.mean(axis=0)) / std
+    widths = []
+
+    def counted(queries, refs, k):
+        widths.append(k)
+        return cross_knn(queries, refs, k)
+
+    monkeypatch.setattr(protfit.surface, "cross_knn", counted)
+    feats = surface_features(SurfacePointCloud(points=pts, normals=normals), cfg)
+    assert widths == [max(curvature_k, min(knn_k, n - 1)) + 1]
+    assert np.array_equal(feats, expected)
 
 
 # ---------------------------------------------------------------------------
