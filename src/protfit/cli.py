@@ -67,9 +67,6 @@ def _add_surface_opts(parser):
     parser.add_argument("--knn-k", type=int, default=None)
     parser.add_argument("--curvature-k", type=int, default=None)
     parser.add_argument("--hks-eigenpairs", type=int, default=None)
-    parser.add_argument("--paper-scale", action="store_true", default=None,
-                        help="target the 6000..20000 point range (excludes "
-                             "--min-points and --max-points)")
 
 
 def build_parser() -> _Parser:
@@ -204,7 +201,7 @@ def _defaults(args) -> dict:
 
     from .surface import SurfaceConfig
     classes = [SurfaceConfig]
-    defaults = {"seed": 0, "paper_scale": False}
+    defaults = {"seed": 0}
     if args.command == "pretrain":
         from .gvp import ModelConfig
         from .training import TrainConfig
@@ -268,26 +265,15 @@ def _config(cls, resolved: dict):
                   for name in _RENAMED.get(flag, (flag,)) if name in names})
 
 
-def _surface_config(resolved: dict):
-    from .surface import SurfaceConfig
-    if resolved["paper_scale"] and any(
-            resolved[key] != getattr(SurfaceConfig, key)
-            for key in ("min_points", "max_points")):
-        raise UsageError("--paper-scale sets the point range itself and "
-                         "excludes --min-points and --max-points")
-    cfg = _config(SurfaceConfig, resolved)
-    return cfg.paper_scale() if resolved["paper_scale"] else cfg
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_surface(args) -> int:
     from .io import load_structure
-    from .surface import featured_cloud, write_cloud_tsv
+    from .surface import SurfaceConfig, featured_cloud, write_cloud_tsv
     resolved = _resolve(args)
-    cfg = _surface_config(resolved)
+    cfg = _config(SurfaceConfig, resolved)
     protein = load_structure(args.structure)
     cloud = featured_cloud(protein, cfg, resolved["seed"])
     write_cloud_tsv(cloud, args.out, header_lines=_header_lines(resolved))
@@ -297,11 +283,12 @@ def cmd_surface(args) -> int:
 
 def cmd_pretrain(args) -> int:
     from .gvp import ModelConfig
+    from .surface import SurfaceConfig
     from .training import TrainConfig, pretrain
     resolved = _resolve(args)
     model_cfg = _config(ModelConfig, resolved)
     train_cfg = _config(TrainConfig, resolved)
-    surface_cfg = _surface_config(resolved)
+    surface_cfg = _config(SurfaceConfig, resolved)
     _, history = pretrain(
         args.corpus, model_cfg, train_cfg, surface_cfg, out_dir=args.out_dir,
         clouds_dir=args.clouds, resume=args.resume,
@@ -333,7 +320,7 @@ def cmd_score(args) -> int:
     from .gvp import SURFACE_MODES, load_checkpoint
     from .io import load_assay, load_external_scores, load_structure
     from .scoring import ensemble_zscores, score_assay, write_scores_csv
-    from .surface import featured_cloud
+    from .surface import SurfaceConfig, featured_cloud
     resolved = _resolve(args)
     model = load_checkpoint(args.checkpoint)
     mode = model.config.check_mode(resolved["mode"])
@@ -351,7 +338,7 @@ def cmd_score(args) -> int:
                          "checkpoint embeds with its own toy embedder")
     base_cloud = None
     if mode in SURFACE_MODES:
-        base_cloud = featured_cloud(protein, _surface_config(resolved),
+        base_cloud = featured_cloud(protein, _config(SurfaceConfig, resolved),
                                     resolved["seed"], dump=args.cloud)
     baseline = load_external_scores(args.baseline) if args.baseline else None
     external = None

@@ -120,26 +120,21 @@ def build_radius_graph(coords, cutoff: float, rbf: RbfConfig = None) -> SpatialG
                            np.concatenate([b, a]), rbf)
 
 
-def _knn(queries, refs, k: int, skip_self: bool = False):
+def _knn(queries, refs, k: int):
     """The k nearest refs of each query as (indices, distances), sorted by
-    (distance, index); with skip_self, query i never lists ref i."""
+    (distance, index)."""
     n = len(refs)
     tree = _tree(refs)
     out_idx = np.empty((len(queries), k), dtype=np.int64)
     out_dist = np.empty((len(queries), k), dtype=np.float64)
     rows = np.arange(len(queries))
-    want = k + 1 + skip_self
+    want = k + 1
     while len(rows):
         want = min(want, n)
         _, cand = tree.query(queries[rows], k=want)
         cand = cand.reshape(len(rows), want)
         dist = np.linalg.norm(queries[rows][:, None, :] - refs[cand], axis=2)
-        if skip_self:
-            is_self = cand == rows[:, None]
-            farthest = np.where(is_self, -np.inf, dist).max(axis=1)
-            dist[is_self] = np.inf
-        else:
-            farthest = dist.max(axis=1)
+        farthest = dist.max(axis=1)
         order = np.lexsort((cand, dist), axis=1)[:, :k]
         cand = np.take_along_axis(cand, order, axis=1)
         dist = np.take_along_axis(dist, order, axis=1)
@@ -150,6 +145,29 @@ def _knn(queries, refs, k: int, skip_self: bool = False):
         rows = rows[~done]
         want *= 2
     return out_idx, out_dist
+
+
+def nearest_others(idx, dist):
+    """Each point's k nearest other points as (indices, distances), in
+    (distance, index) order, from a self-query's (k + 1)-NN table.
+
+    A row drops the point itself or, when k + 1 coincident points of
+    smaller index crowd the point out of its own row, its last entry. The
+    dropped entry is moved to column 0 and the tables returned are the
+    columns after it: views of the input when every point leads its own
+    row, as it does unless it coincides with a point of smaller index."""
+    n, k = idx.shape[0], idx.shape[1] - 1
+    is_self = idx == np.arange(n)[:, None]
+    drop = np.where(is_self.any(axis=1), is_self.argmax(axis=1), k)
+    moved = np.flatnonzero(drop)
+    if len(moved):
+        cols = np.arange(k + 1)
+        src = np.where(cols <= drop[moved, None], cols - 1, cols)
+        src[:, 0] = drop[moved]
+        idx, dist = idx.copy(), dist.copy()
+        idx[moved] = np.take_along_axis(idx[moved], src, axis=1)
+        dist[moved] = np.take_along_axis(dist[moved], src, axis=1)
+    return idx[:, 1:], dist[:, 1:]
 
 
 def build_knn_graph(coords, k: int, rbf: RbfConfig = None) -> SpatialGraph:
@@ -163,7 +181,7 @@ def build_knn_graph(coords, k: int, rbf: RbfConfig = None) -> SpatialGraph:
     if rbf is None:
         rbf = RbfConfig()
     k_eff = min(k, n - 1)
-    idx, _ = _knn(coords, coords, k_eff, skip_self=True)
+    idx, _ = nearest_others(*_knn(coords, coords, k_eff + 1))
     dst = np.repeat(np.arange(n, dtype=np.int64), k_eff)
     return _finalize_graph(coords, idx.reshape(-1), dst, rbf)
 

@@ -35,7 +35,7 @@ from .autodiff import Parameter, Tensor
 from .errors import DataError
 from .geometry import RbfConfig, SpatialGraph, build_knn_graph, build_radius_graph, cross_knn
 from .io import N_RESIDUE_TYPES, Protein, ResidueEmbeddings, mask_context_tag
-from .surface import SurfacePointCloud
+from .surface import N_FEATURES, SurfacePointCloud
 
 CHECKPOINT_MAGIC = b"S3FC"
 CHECKPOINT_VERSION = 1
@@ -78,9 +78,12 @@ class Corruption:
 
 
 _SIZE_FLOORS = dict(embed_dim=1, scalar_dim=1, vector_dim=1, init_hidden=1,
-                    surface_feat_dim=1, surface_knn=1, init_neighbors=1,
-                    fuse_neighbors=1, rbf_kernels=1, structure_layers=0,
-                    surface_layers=0, window_halfwidth=0)
+                    surface_knn=1, init_neighbors=1, fuse_neighbors=1,
+                    rbf_kernels=1, structure_layers=0, surface_layers=0,
+                    window_halfwidth=0)
+# Keys that configs written before a setting was retired still store, each
+# with the only value it can hold now.
+_RETIRED_KEYS = {"fuse_scalar_only": False, "surface_feat_dim": N_FEATURES}
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,6 @@ class ModelConfig:
     structure_layers: int = 5
     surface_layers: int = 5
     init_hidden: int = 128
-    surface_feat_dim: int = 5
     radius_cutoff: float = 10.0
     surface_knn: int = 16
     init_neighbors: int = 3
@@ -139,10 +141,10 @@ class ModelConfig:
         fields = json.loads(blob)
         if not isinstance(fields, dict):
             raise DataError("model config is not a JSON object")
-        # configs written before vector fusion became unconditional all
-        # store this key as false
-        if fields.pop("fuse_scalar_only", False):
-            raise DataError("scalar-only fusion (fuse_scalar_only) is not supported")
+        for key, only in _RETIRED_KEYS.items():
+            if key in fields and fields.pop(key) != only:
+                raise DataError(f"model config key {key!r} is retired and must "
+                                f"be {json.dumps(only)} if present")
         return cls(**fields)
 
 
@@ -376,7 +378,7 @@ class FitnessModel:
             h = config.init_hidden
             self._linear(rng, "surface_init.inner1", d + 1, h)
             self._linear(rng, "surface_init.inner2", h, d)
-            self._linear(rng, "surface_init.outer1", config.surface_feat_dim + d, h)
+            self._linear(rng, "surface_init.outer1", N_FEATURES + d, h)
             self._linear(rng, "surface_init.outer2", h, d)
             self.surface_blocks = [
                 self._block(rng, f"surface.{i}") for i in range(config.surface_layers)]
@@ -525,10 +527,10 @@ class FitnessModel:
                 raise DataError(f"mode {mode!r} requires a surface cloud")
             if cloud.features is None:
                 raise DataError("surface cloud lacks geometric features")
-            if cloud.features.shape[1] != cfg.surface_feat_dim:
+            if cloud.features.shape[1] != N_FEATURES:
                 raise DataError(
                     f"cloud feature dim {cloud.features.shape[1]} != "
-                    f"model surface_feat_dim {cfg.surface_feat_dim}")
+                    f"{N_FEATURES} surface features")
             if n_r < cfg.init_neighbors:
                 raise DataError(
                     f"surface init needs >= {cfg.init_neighbors} residues")

@@ -275,12 +275,17 @@ def serialize_structure(protein: Protein) -> str:
     return "\n".join(lines) + "\n"
 
 
+# structure file suffixes, matched case-insensitively, and their formats
+STRUCTURE_FORMATS = {".tsv": "tsv", ".pdb": "pdb-min", ".ent": "pdb-min"}
+
+
 def load_structure(path, name: str = None) -> Protein:
-    """Load a structure file, inferring the format from the extension."""
+    """Load a structure file, inferring the format from the extension; a
+    suffix not in ``STRUCTURE_FORMATS`` reads as tsv."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"structure file not found: {path}")
-    fmt = "pdb-min" if path.suffix.lower() in (".pdb", ".ent") else "tsv"
+    fmt = STRUCTURE_FORMATS.get(path.suffix.lower(), "tsv")
     return parse_structure(path.read_bytes(), fmt, name or path.stem)
 
 

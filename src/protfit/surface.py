@@ -9,14 +9,15 @@ frames built from neighboring atoms, and deduplication happens in a
 canonical frame from the atom cloud's principal axes, so the whole
 pipeline commutes with rigid motions of the input.
 
-Per-point geometric features are a Gaussian curvature estimate (local
-quadric fit in the tangent frame) and heat kernel signatures from the
-lowest eigenpairs of the symmetric normalized Laplacian of the surface
-kNN graph, from one shift-invert ``eigsh`` solve at every cloud size.
+Per-point geometric features are ``N_FEATURES`` columns: a Gaussian
+curvature estimate (local quadric fit in the tangent frame) and heat
+kernel signatures at the ``HKS_TIMES`` from the lowest eigenpairs of the
+symmetric normalized Laplacian of the surface kNN graph, from one
+shift-invert ``eigsh`` solve at every cloud size.
 Its shifted Laplacian is factored once, by SuperLU in symmetric mode,
 and ``eigsh`` applies that factor's solve as the inverse operator. Both
-features read column prefixes of one neighbour table, from a single
-``cross_knn`` self-query of the cloud.
+features read column prefixes of one table of each point's nearest other
+points, from a single ``cross_knn`` self-query of the cloud.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import DataError, NumericsError
-from .geometry import cross_knn
+from .geometry import cross_knn, nearest_others
 from .io import Protein, read_text_lines
 
-_DEFAULT_HKS_TIMES = tuple(np.logspace(-0.5, 1.5, 4))
+HKS_TIMES = tuple(np.logspace(-0.5, 1.5, 4))
+# feature columns per point: curvature, then one HKS per time
+N_FEATURES = 1 + len(HKS_TIMES)
 # (atom, point) pairs per (atoms x 3 x points) difference block: 768 KB,
 # small enough to stay in a core's cache while the block is reused
 _FIELD_PAIRS = 1 << 15
@@ -48,7 +51,6 @@ class SurfaceConfig:
     knn_k: int = 16
     curvature_k: int = 12
     hks_eigenpairs: int = 32
-    hks_times: tuple = _DEFAULT_HKS_TIMES
     level_tol: float = 1e-3
     max_seed_rounds: int = 5
 
@@ -66,15 +68,6 @@ class SurfaceConfig:
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be positive, "
                                 f"got {getattr(self, name)}")
-        # the model reads 1 + len(hks_times) feature columns per point
-        times = np.asarray(self.hks_times, dtype=np.float64)
-        if times.ndim != 1 or len(times) == 0 or not (
-                (times > 0) & (times < np.inf)).all():
-            raise DataError(f"hks_times must be a non-empty sequence of finite "
-                            f"positive times, got {self.hks_times}")
-
-    def paper_scale(self) -> "SurfaceConfig":
-        return replace(self, min_points=6000, max_points=20000)
 
 
 @dataclass(frozen=True)
@@ -336,14 +329,10 @@ def generate_surface(protein: Protein, cfg: SurfaceConfig = None,
 # geometric features
 # ---------------------------------------------------------------------------
 
-def _gaussian_curvature(pts, normals, idx) -> np.ndarray:
+def _gaussian_curvature(pts, normals, neigh) -> np.ndarray:
     """Quadric-fit curvature: fit z = a x^2 + b xy + c y^2 over the k
     nearest neighbors in each point's tangent frame, K = 4ac - b^2.
-    ``idx`` holds each point's k + 1 nearest points, itself among them."""
-    k = idx.shape[1] - 1
-    # the first k entries of each row that are not the point itself
-    others = np.argsort(idx == np.arange(len(pts))[:, None], axis=1, kind="stable")
-    neigh = np.take_along_axis(idx, others[:, :k], axis=1)
+    ``neigh`` holds each point's k nearest other points."""
     rel = pts[neigh] - pts[:, None, :]            # (n, k, 3)
     z_axis = normals
     # any tangent direction works: K is invariant to in-plane rotation
@@ -363,16 +352,14 @@ def _gaussian_curvature(pts, normals, idx) -> np.ndarray:
 
 
 def _heat_kernel_signature(idx, dist, cfg: SurfaceConfig) -> np.ndarray:
-    """HKS at ``cfg.hks_times`` from the ``cfg.hks_eigenpairs`` lowest
+    """HKS at ``HKS_TIMES`` from the ``cfg.hks_eigenpairs`` lowest
     eigenpairs of the normalized Laplacian of the Gaussian-weighted kNN
-    graph; ``idx`` and ``dist`` hold each point's k + 1 nearest points,
-    itself among them."""
-    n = len(idx)
-    sigma = max(dist[:, 1:].mean(), 1e-9)
-    keep = idx != np.arange(n)[:, None]
-    rows = np.nonzero(keep)[0]
-    vals = np.exp(-(dist[keep] ** 2) / sigma ** 2)
-    w = scipy.sparse.csr_matrix((vals, (rows, idx[keep])), shape=(n, n))
+    graph; ``idx`` and ``dist`` hold each point's k nearest other points."""
+    n, k = idx.shape
+    sigma = max(dist.mean(), 1e-9)
+    vals = np.exp(-(dist.ravel() ** 2) / sigma ** 2)
+    rows = np.repeat(np.arange(n), k)
+    w = scipy.sparse.csr_matrix((vals, (rows, idx.ravel())), shape=(n, n))
     w = (w + w.T) * 0.5
     deg = np.asarray(w.sum(axis=1)).ravel()
     if deg.min() <= 0:
@@ -401,8 +388,7 @@ def _heat_kernel_signature(idx, dist, cfg: SurfaceConfig) -> np.ndarray:
     order = np.argsort(evals)
     evals, evecs = evals[order], evecs[:, order]
     phi2 = evecs ** 2
-    times = np.asarray(cfg.hks_times, dtype=np.float64)
-    return phi2 @ np.exp(-np.outer(evals, times))
+    return phi2 @ np.exp(-np.outer(evals, HKS_TIMES))
 
 
 def surface_features(cloud: SurfacePointCloud,
@@ -415,11 +401,12 @@ def surface_features(cloud: SurfacePointCloud,
         raise DataError(
             f"need at least curvature_k+1={cfg.curvature_k + 1} points, got {n}")
     # cross_knn sorts each row by (distance, index) with exact distances,
-    # so the first k + 1 columns of one wide query are the (k + 1)-NN table
+    # so the first k columns of one wide others-table are the k-NN table
     k_curv, k_hks = cfg.curvature_k, min(cfg.knn_k, n - 1)
-    idx, dist = cross_knn(cloud.points, cloud.points, max(k_curv, k_hks) + 1)
-    curv = _gaussian_curvature(cloud.points, cloud.normals, idx[:, :k_curv + 1])
-    hks = _heat_kernel_signature(idx[:, :k_hks + 1], dist[:, :k_hks + 1], cfg)
+    idx, dist = nearest_others(
+        *cross_knn(cloud.points, cloud.points, max(k_curv, k_hks) + 1))
+    curv = _gaussian_curvature(cloud.points, cloud.normals, idx[:, :k_curv])
+    hks = _heat_kernel_signature(idx[:, :k_hks], dist[:, :k_hks], cfg)
     feats = np.column_stack([curv, hks])
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
@@ -488,12 +475,15 @@ def read_cloud_tsv(path) -> SurfacePointCloud:
 def featured_cloud(protein: Protein, cfg: SurfaceConfig, seed: int,
                    dump=None) -> SurfacePointCloud:
     """The protein's base cloud with its geometric features: read from the
-    ``dump`` path when one is given (it must carry feature columns), else
-    generated with ``cfg`` and ``seed`` and featurized."""
+    ``dump`` path when one is given (it must carry exactly ``N_FEATURES``
+    feature columns), else generated with ``cfg`` and ``seed`` and
+    featurized."""
     if dump:
         cloud = read_cloud_tsv(dump)
-        if cloud.features is None:
-            raise DataError(f"{dump}: cloud dump lacks features")
+        width = 0 if cloud.features is None else cloud.features.shape[1]
+        if width != N_FEATURES:
+            raise DataError(f"{dump}: cloud dump has {width} feature columns, "
+                            f"need {N_FEATURES}")
         return cloud
     cloud = generate_surface(protein, cfg, seed=seed)
     return cloud.with_features(surface_features(cloud, cfg))

@@ -26,8 +26,8 @@ from . import OPTIMIZERS
 from .errors import DataError, NumericsError
 from .gvp import (SURFACE_MODES, Corruption, FitnessModel, ModelConfig,
                   save_checkpoint)
-from .io import (N_RESIDUE_TYPES, Protein, load_embeddings, load_structure,
-                 write_csv)
+from .io import (N_RESIDUE_TYPES, STRUCTURE_FORMATS, Protein, load_embeddings,
+                 load_structure, write_csv)
 from .scoring import DEFAULT_EXCISE_M
 from .surface import SurfaceConfig, excise_near_residue, featured_cloud
 
@@ -203,8 +203,9 @@ class CorpusItem:
 
 def load_corpus(corpus_dir, model_cfg: ModelConfig, surface_cfg: SurfaceConfig,
                 mode: str, surface_seed: int = 0, clouds_dir=None) -> list:
-    """Load structures (and paired embeddings / cloud dumps by filename
-    stem). In surface modes each protein gets its featured base cloud once:
+    """Load the structure files of every suffix in ``STRUCTURE_FORMATS``
+    (and paired embeddings / cloud dumps by filename stem). In surface
+    modes each protein gets its featured base cloud once:
     ``clouds_dir/<stem>.surface.tsv`` when that dump exists, else one
     generated from ``surface_cfg`` and ``surface_seed``. In those modes a
     ``clouds_dir`` that is not a directory is a DataError."""
@@ -214,7 +215,8 @@ def load_corpus(corpus_dir, model_cfg: ModelConfig, surface_cfg: SurfaceConfig,
     if (mode in SURFACE_MODES and clouds_dir is not None
             and not Path(clouds_dir).is_dir()):
         raise DataError(f"clouds directory not found: {clouds_dir}")
-    paths = sorted(list(corpus_dir.glob("*.tsv")) + list(corpus_dir.glob("*.pdb")))
+    paths = sorted(path for path in corpus_dir.iterdir()
+                   if path.suffix.lower() in STRUCTURE_FORMATS)
     if not paths:
         raise DataError(f"no structure files in {corpus_dir}")
     items = []
@@ -227,12 +229,8 @@ def load_corpus(corpus_dir, model_cfg: ModelConfig, surface_cfg: SurfaceConfig,
                 dump = Path(clouds_dir) / f"{path.stem}.surface.tsv"
                 if not dump.exists():
                     dump = None
-            cloud = featured_cloud(protein, surface_cfg, surface_seed, dump=dump)
-            if cloud.features.shape[1] != model_cfg.surface_feat_dim:
-                raise DataError(
-                    f"{path.stem}: cloud feature dim {cloud.features.shape[1]} "
-                    f"!= model surface_feat_dim {model_cfg.surface_feat_dim}")
-            item.cloud = cloud
+            item.cloud = featured_cloud(protein, surface_cfg, surface_seed,
+                                        dump=dump)
         if model_cfg.embedder == "file":
             epath = corpus_dir / f"{path.stem}.s3fe"
             if not epath.exists():

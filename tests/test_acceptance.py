@@ -23,7 +23,8 @@ from protfit import autodiff as ad
 from protfit.autodiff import Tensor
 from protfit.corpus import make_motif_corpus, make_synthetic_variants
 from protfit.errors import DataError
-from protfit.geometry import build_knn_graph, build_radius_graph, cross_knn
+from protfit.geometry import (build_knn_graph, build_radius_graph, cross_knn,
+                              nearest_others)
 from protfit.gvp import (Corruption, FitnessModel, GvpState, ModelConfig,
                          fuse_residue_surface, load_checkpoint,
                          run_message_passing)
@@ -346,8 +347,9 @@ def test_criterion_4_surface_validity():
 
     radius = 5.0
     pts = fibonacci_sphere(2000, radius)
-    curv = _gaussian_curvature(pts, pts / radius,
-                               cross_knn(pts, pts, cfg.curvature_k + 1)[0])
+    curv = _gaussian_curvature(
+        pts, pts / radius,
+        nearest_others(*cross_knn(pts, pts, cfg.curvature_k + 1))[0])
     curv_err = abs(curv.mean() - 1 / radius ** 2) / (1 / radius ** 2)
 
     protein = make_coil_protein(25, seed=450)

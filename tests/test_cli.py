@@ -136,16 +136,19 @@ def test_surface_config_file_layering(workspace, tmp_path):
 
 @pytest.mark.parametrize("overlay", [
     {"seeds_per_atom": "16"}, {"seeds_per_atom": 16.5}, {"smoothing": None},
-    {"paper_scale": "no"}, {"seed": -1}, ["min_points", 48],
+    {"per_site_gating": "no"}, {"seed": -1}, ["min_points", 48],
     {"atom_radius": 10 ** 400}])
-def test_config_value_must_pass_its_flag_check(workspace, tmp_path, capsys,
-                                               overlay):
+def test_config_value_must_pass_its_flag_check(workspace, trained, tmp_path,
+                                               capsys, overlay):
+    """``score`` takes the surface flags and a switch, so one command
+    covers the number, null, true/false and JSON-object rules."""
     root, _, _ = workspace
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(overlay))
-    out = tmp_path / "c.tsv"
-    code = cli.main(["surface", str(root / "corpus" / "motif000.tsv"),
-                     "--out", str(out), "--config", str(cfg_file)])
+    out = tmp_path / "scores.csv"
+    code = cli.main([str(a) for a in (
+        "score", trained, root / "corpus" / "motif000.tsv", root / "assay.csv",
+        "--out", out, "--config", cfg_file)])
     assert code == 1
     assert "config" in capsys.readouterr().err
     assert not out.exists()
@@ -193,38 +196,11 @@ def test_surface_paper_scale_point_range(tmp_path):
     path = tmp_path / "long.tsv"
     path.write_text(serialize_structure(protein))
     out = tmp_path / "cloud.tsv"
-    proc = run_cli("surface", path, "--out", out, "--paper-scale",
-                   "--hks-eigenpairs", "16")
+    proc = run_cli("surface", path, "--out", out, "--min-points", "6000",
+                   "--max-points", "20000", "--hks-eigenpairs", "16")
     assert proc.returncode == 0, proc.stderr
     cloud = read_cloud_tsv(out)
     assert 6000 <= cloud.n_points <= 20000
-
-
-@pytest.mark.parametrize("command", ["surface", "pretrain"])
-@pytest.mark.parametrize("flags,overlay", [
-    (["--paper-scale", "--min-points", "1000"], None),
-    (["--paper-scale", "--max-points", "3000"], None),
-    ([], {"paper_scale": True, "max_points": 3000}),
-    (["--min-points", "48"], {"paper_scale": True})])
-def test_paper_scale_with_point_limits_is_usage_error(workspace, tmp_path,
-                                                      capsys, command, flags,
-                                                      overlay):
-    """--paper-scale sets the point range, so an explicit one from a flag or
-    a config file would be overridden and then misreported in the header."""
-    root, _, _ = workspace
-    if overlay is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(overlay))
-        flags = [*flags, "--config", tmp_path / "cfg.json"]
-    out = tmp_path / "out"
-    if command == "surface":
-        argv = ["surface", root / "corpus" / "motif000.tsv", "--out", out]
-    else:
-        argv = ["pretrain", root / "corpus", "--out-dir", out, "--epochs", "0",
-                *MODEL_FLAGS]
-    code = cli.main([str(a) for a in (*argv, *flags)])
-    assert code == 1
-    assert "--paper-scale" in capsys.readouterr().err
-    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +353,9 @@ def test_pretrain_defaults_are_the_model_config_defaults(workspace, tmp_path):
 
 
 @pytest.mark.parametrize("argv, n_keys, config_hash", [
-    (["surface", "s.tsv", "--out", "o"], 11, "29ae12b18b2adbac"),
-    (["pretrain", "corpus", "--out-dir", "o"], 24, "02d6b4df92d42cf8"),
-    (["score", "c.s3fc", "s.tsv", "a.csv", "--out", "o"], 15, "d83ad28627f27309"),
+    (["surface", "s.tsv", "--out", "o"], 10, "92fc55763e6099a4"),
+    (["pretrain", "corpus", "--out-dir", "o"], 23, "c0a9ff7bd413a163"),
+    (["score", "c.s3fc", "s.tsv", "a.csv", "--out", "o"], 14, "858bff72a93f604a"),
     (["eval", "--scores", "s.csv", "--assay", "a.csv", "--out", "o"], 4,
      "1863016674946587"),
 ], ids=["surface", "pretrain", "score", "eval"])
@@ -570,7 +546,6 @@ def test_cloud_dump_without_features_exits_2(workspace, trained, tmp_path,
     cloud = generate_surface(protein, SurfaceConfig(
         min_points=48, max_points=128, seeds_per_atom=16))
     dump = tmp_path / "motif000.surface.tsv"
-    write_cloud_tsv(cloud, dump)
     if command == "score":
         argv = ["score", trained, root / "corpus" / "motif000.tsv",
                 root / "assay.csv", "--out", tmp_path / "scores.csv",
@@ -579,8 +554,13 @@ def test_cloud_dump_without_features_exits_2(workspace, trained, tmp_path,
         argv = ["pretrain", root / "corpus", "--out-dir", tmp_path / "run",
                 "--epochs", "1", *MODEL_FLAGS, *SURFACE_FLAGS,
                 "--clouds", tmp_path]
-    assert cli.main([str(a) for a in argv]) == 2
-    assert "lacks features" in capsys.readouterr().err
+    # no feature columns, and fewer than the model reads
+    for features in (None, np.ones((cloud.n_points, 3))):
+        write_cloud_tsv(cloud if features is None
+                        else cloud.with_features(features), dump)
+        assert cli.main([str(a) for a in argv]) == 2
+        width = 0 if features is None else 3
+        assert f"{width} feature columns" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_rotation
 from protfit.errors import DataError
 from protfit.geometry import (RbfConfig, build_knn_graph, build_radius_graph,
-                              cross_knn, rbf_expand)
+                              cross_knn, nearest_others, rbf_expand)
 
 
 def edge_set(graph):
@@ -183,6 +183,19 @@ def test_cross_knn_prefix_is_the_narrower_query(rng, lattice):
         idx, dist = cross_knn(pts, pts, k)
         assert np.array_equal(wide_idx[:, :k], idx)
         assert np.array_equal(wide_dist[:, :k], dist)
+
+
+@pytest.mark.parametrize("copies", [0, 3, 30])
+def test_nearest_others_matches_brute_force(rng, copies):
+    """A self-query's (k + 1)-NN table gives each point's k nearest other
+    points in (distance, index) order, also for a copy of a point that k + 1
+    coincident points of smaller index crowd out of its own row."""
+    base = rng.integers(0, 5, (120, 3)).astype(float)
+    pts = np.concatenate([base, np.repeat(base[:1], copies, axis=0)])
+    for k in (1, 4, 16):
+        idx, dist = nearest_others(*cross_knn(pts, pts, k + 1))
+        assert idx.tolist() == brute_knn_rows(pts, pts, k, skip_self=True)
+        assert np.array_equal(dist, np.linalg.norm(pts[idx] - pts[:, None], axis=2))
 
 
 def test_cross_knn_rejects_too_few_refs():

@@ -6,10 +6,10 @@ import protfit.surface
 from conftest import make_coil_protein, random_rotation
 from protfit.corpus import make_motif_protein
 from protfit.errors import DataError
-from protfit.geometry import cross_knn
+from protfit.geometry import cross_knn, nearest_others
 from protfit.io import Protein
-from protfit.surface import (SurfaceConfig, SurfacePointCloud,
-                             _field, _gaussian_curvature,
+from protfit.surface import (HKS_TIMES, N_FEATURES, SurfaceConfig,
+                             SurfacePointCloud, _field, _gaussian_curvature,
                              _heat_kernel_signature, _seed_frames,
                              excise_near_residue,
                              generate_surface, read_cloud_tsv,
@@ -33,14 +33,11 @@ def fibonacci_sphere(n, radius=1.0):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("field, value", [
-    ("hks_times", (np.nan,)), ("hks_times", ()), ("hks_times", (1.0, np.inf)),
-    ("hks_times", (0.0, 1.0)), ("hks_times", (-1.0,)),
     ("level_tol", 0.0), ("level_tol", -1e-3), ("level_tol", np.nan),
     ("level_tol", np.inf), ("max_seed_rounds", 0), ("max_seed_rounds", -1)])
 def test_surface_config_rejects_values_without_meaning(field, value):
-    """NaN or empty HKS times used to give all-NaN or too few feature
-    columns, and the other values a run that seeds nothing or can never
-    meet its level."""
+    """These values gave a run that seeds nothing or can never meet its
+    level."""
     with pytest.raises(DataError, match=field):
         SurfaceConfig(**{field: value})
 
@@ -262,7 +259,8 @@ def test_sphere_curvature_close_to_analytic():
     radius = 5.0
     pts = fibonacci_sphere(2000, radius)
     normals = pts / radius
-    curv = _gaussian_curvature(pts, normals, cross_knn(pts, pts, 13)[0])
+    curv = _gaussian_curvature(pts, normals,
+                               nearest_others(*cross_knn(pts, pts, 13))[0])
     expected = 1.0 / radius ** 2
     assert abs(curv.mean() - expected) / expected < 0.25
 
@@ -271,7 +269,8 @@ def test_plane_curvature_near_zero(rng):
     xy = rng.uniform(-10, 10, (1500, 2))
     pts = np.column_stack([xy, np.zeros(len(xy))])
     normals = np.tile([0.0, 0.0, 1.0], (len(pts), 1))
-    curv = _gaussian_curvature(pts, normals, cross_knn(pts, pts, 13)[0])
+    curv = _gaussian_curvature(pts, normals,
+                               nearest_others(*cross_knn(pts, pts, 13))[0])
     reference = 1.0 / 5.0 ** 2
     assert np.abs(curv).mean() < 0.05 * reference
 
@@ -293,7 +292,7 @@ def test_features_rigid_motion_invariant(rng):
 def test_features_standardized(coil30):
     cloud = generate_surface(coil30, SMALL, seed=3)
     feats = surface_features(cloud, SMALL)
-    assert feats.shape == (cloud.n_points, 1 + len(SMALL.hks_times))
+    assert feats.shape == (cloud.n_points, N_FEATURES)
     assert np.abs(feats.mean(axis=0)).max() < 1e-9
     assert np.abs(feats.std(axis=0) - 1).max() < 1e-9
 
@@ -313,7 +312,7 @@ def _dense_hks(pts, cfg):
     lap = np.eye(n) - dinv[:, None] * w * dinv[None, :]
     m = min(cfg.hks_eigenpairs, n - 1)
     evals, evecs = scipy.linalg.eigh(lap, subset_by_index=[0, m - 1])
-    return evecs ** 2 @ np.exp(-np.outer(evals, cfg.hks_times))
+    return evecs ** 2 @ np.exp(-np.outer(evals, HKS_TIMES))
 
 
 @pytest.fixture(scope="module")
@@ -338,19 +337,24 @@ def _hks_case(case, large_surface):
     if case == "coil":
         cfg = SurfaceConfig(max_points=600)
         return generate_surface(make_coil_protein(60, seed=3), cfg).points, cfg
+    if case == "crowded":
+        # 17 copies of point 0: with knn_k 16, the last copy's 17 nearest
+        # points are the other 17 coincident ones, all of smaller index
+        pts = 5.0 * np.random.default_rng(7).standard_normal((200, 3))
+        return np.concatenate([pts, np.repeat(pts[:1], 17, axis=0)]), SurfaceConfig()
     # Gaussian point sets whose Laplacian has an exactly singular LU factor
     # at shift 0: seeds 1156 and 1255 draw 106 and 221 points
     rng = np.random.default_rng(case)
     return 5.0 * rng.standard_normal((int(rng.integers(8, 400)), 3)), SurfaceConfig()
 
 
-@pytest.mark.parametrize("case", [1156, 1255, "coil", "large"])
+@pytest.mark.parametrize("case", [1156, 1255, "coil", "large", "crowded"])
 def test_hks_matches_dense_eigh(case, large_surface):
     pts, cfg = _hks_case(case, large_surface)
-    hks = _heat_kernel_signature(
-        *cross_knn(pts, pts, min(cfg.knn_k, len(pts) - 1) + 1), cfg)
+    hks = _heat_kernel_signature(*nearest_others(
+        *cross_knn(pts, pts, min(cfg.knn_k, len(pts) - 1) + 1)), cfg)
     expected = _dense_hks(pts, cfg)
-    assert hks.shape == (len(pts), len(cfg.hks_times))
+    assert hks.shape == (len(pts), len(HKS_TIMES))
     np.testing.assert_allclose(hks, expected, rtol=1e-10, atol=0)
 
 
@@ -372,10 +376,10 @@ def test_features_read_one_shared_neighbour_table(monkeypatch, rng,
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     cfg = SurfaceConfig(min_points=8, curvature_k=curvature_k, knn_k=knn_k)
     # oracle: each helper fed its own query of exactly the width it needs
-    curv = _gaussian_curvature(pts, normals,
-                               cross_knn(pts, pts, curvature_k + 1)[0])
-    hks = _heat_kernel_signature(*cross_knn(pts, pts, min(knn_k, n - 1) + 1),
-                                 cfg)
+    curv = _gaussian_curvature(
+        pts, normals, nearest_others(*cross_knn(pts, pts, curvature_k + 1))[0])
+    hks = _heat_kernel_signature(
+        *nearest_others(*cross_knn(pts, pts, min(knn_k, n - 1) + 1)), cfg)
     expected = np.column_stack([curv, hks])
     std = expected.std(axis=0)
     std[std < 1e-12] = 1.0

@@ -5,7 +5,8 @@ from conftest import make_coil_protein
 from protfit.corpus import make_motif_corpus, make_motif_protein
 from protfit.errors import DataError
 from protfit.gvp import FitnessModel, ModelConfig, load_checkpoint
-from protfit.io import load_structure
+from protfit.io import (RESIDUE_TYPES, THREE_TO_ONE, load_structure,
+                        serialize_structure)
 from protfit.surface import (SurfaceConfig, excise_near_residue, generate_surface,
                              read_cloud_tsv, surface_features, write_cloud_tsv)
 from protfit.training import (Adam, CorpusItem, MASK, KEEP, RANDOM,
@@ -313,6 +314,27 @@ def test_corpus_embedding_mismatch_rejected(tmp_path):
     file_cfg = ModelConfig(mode="s2f", embedder="file", seed=0, **MODEL_KW)
     with pytest.raises(DataError, match="missing"):
         load_corpus(corpus_dir, file_cfg, SURF, "s2f")
+
+
+def test_load_corpus_reads_every_structure_suffix(tmp_path):
+    """A corpus loads each file that ``load_structure`` reads as a
+    structure: ``.ent`` as well as ``.pdb``, with suffixes in any case."""
+    proteins = make_motif_corpus(tmp_path / "src", n_proteins=3, n_res=12, seed=0)
+    one_to_three = {one: three for three, one in THREE_TO_ONE.items()}
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "a.tsv").write_text(serialize_structure(proteins[0]))
+    for name, protein in (("b.ent", proteins[1]), ("c.PDB", proteins[2])):
+        (corpus_dir / name).write_text("".join(
+            f"ATOM  {i + 1:5d}  CA  {one_to_three[RESIDUE_TYPES[t]]} A{i + 1:4d}    "
+            f"{x:8.3f}{y:8.3f}{z:8.3f}  1.00 90.00           C\n"
+            for i, (t, (x, y, z)) in enumerate(zip(protein.sequence,
+                                                   protein.ca_coords))))
+    items = load_corpus(corpus_dir, ModelConfig(mode="s2f", **MODEL_KW), SURF,
+                        "s2f")
+    assert [item.protein.id for item in items] == ["a", "b", "c"]
+    for item, protein in zip(items, proteins):
+        assert np.array_equal(item.protein.sequence, protein.sequence)
 
 
 def test_load_corpus_generates_clouds_missing_from_clouds_dir(tmp_path):
