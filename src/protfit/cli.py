@@ -8,8 +8,9 @@ that sets a field of ``SurfaceConfig``, ``ModelConfig`` or ``TrainConfig``
 defaults to that field's default; the flag is named after the field
 unless ``_RENAMED`` maps it.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 numerical failure.
+Exit codes: 0 success, 1 usage or configuration error (an unreadable
+``--config`` file too), 2 data error (any other path that cannot be read
+or written too), 3 numerical failure.
 
 Importing this module loads no numpy (the package ``__init__`` is lazy
 too): the command functions import it only after ``main`` has written
@@ -225,11 +226,9 @@ def _resolve(args) -> dict:
     resolved = dict(defaults)
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
         try:
             overlay = json.loads(path.read_text())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"bad config file {path}: {exc}")
         if not isinstance(overlay, dict):
             raise UsageError(f"bad config file {path}: not a JSON object")
@@ -341,14 +340,7 @@ def cmd_score(args) -> int:
         base_cloud = featured_cloud(protein, _config(SurfaceConfig, resolved),
                                     resolved["seed"], dump=args.cloud)
     baseline = load_external_scores(args.baseline) if args.baseline else None
-    external = None
-    if args.external:
-        external = load_external_scores(args.external)
-        missing = [v.mutant for v in assay.variants if v.mutant not in external]
-        if missing:
-            raise DataError(
-                f"external scores missing {len(missing)} variants "
-                f"(first: {missing[0]!r})")
+    external = _assay_scores(args.external, assay) if args.external else None
     scores = score_assay(
         model, protein, assay, base_cloud=base_cloud,
         embeddings_provider=provider, baseline=baseline,
@@ -356,13 +348,25 @@ def cmd_score(args) -> int:
         per_site_gating=resolved["per_site_gating"], mode=mode)
     ensembled = None
     if external is not None:
-        ensembled = ensemble_zscores(
-            [vs.score for vs in scores],
-            [external[v.mutant] for v in assay.variants])
+        ensembled = ensemble_zscores([vs.score for vs in scores], external)
     write_scores_csv(args.out, scores, header_lines=_header_lines(resolved),
                      ensembled=ensembled)
     print(f"scored {len(scores)} variants -> {args.out}")
     return 0
+
+
+def _assay_scores(path, assay):
+    """The scores of the scores CSV at ``path`` in ``assay``'s variant
+    order; an assay variant without a score is a DataError."""
+    import numpy as np
+
+    from .io import load_external_scores
+    table = load_external_scores(path)
+    missing = [v.mutant for v in assay.variants if v.mutant not in table]
+    if missing:
+        raise DataError(f"{path}: external scores missing {len(missing)} "
+                        f"variants (first: {missing[0]!r})")
+    return np.array([table[v.mutant] for v in assay.variants])
 
 
 def _variant_depth(mutant: str) -> int:
@@ -383,7 +387,7 @@ def _assay_column(path, column):
 def cmd_eval(args) -> int:
     import numpy as np
 
-    from .io import load_assay, load_external_scores
+    from .io import load_assay
     from .metrics import (aggregate_results, bootstrap_diff_stderr,
                           emit_report, evaluate_assay, METRIC_COLUMNS,
                           spearman)
@@ -395,27 +399,17 @@ def cmd_eval(args) -> int:
     if resolved["bootstrap"] and not args.scores_b:
         raise UsageError("--bootstrap compares two models and needs --scores-b")
 
-    def aligned(scores_path, assay, assay_path):
-        table = load_external_scores(scores_path)
-        missing = [v.mutant for v in assay.variants if v.mutant not in table]
-        if missing:
-            raise DataError(f"{scores_path}: missing scores for "
-                            f"{len(missing)} assay variants "
-                            f"(first: {missing[0]!r})")
-        return np.array([table[v.mutant] for v in assay.variants])
-
     results = []
     group_cells = {}
     spear_a, spear_b = [], []
     for i, (scores_path, assay_path) in enumerate(zip(args.scores, args.assay)):
         assay = load_assay(assay_path)
-        vec = aligned(scores_path, assay, assay_path)
+        vec = _assay_scores(scores_path, assay)
         results.append(evaluate_assay(assay.protein_id, vec, assay))
         if args.scores_b:
-            vec_b = aligned(args.scores_b[i], assay, assay_path)
-            dms = assay.scores()
-            spear_a.append(spearman(vec, dms))
-            spear_b.append(spearman(vec_b, dms))
+            spear_a.append(results[-1].spearman)
+            spear_b.append(spearman(_assay_scores(args.scores_b[i], assay),
+                                    assay.scores()))
         if resolved["group_by"]:
             if resolved["group_by"] == "depth":
                 keys = [str(_variant_depth(v.mutant)) for v in assay.variants]
@@ -494,10 +488,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"data error: file not found: {exc.filename}", file=sys.stderr)
-        return 2
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: usage/config problems exit 1,
-DataError exits 2, NumericsError exits 3.
+DataError (and an OSError, such as an unwritable output) exits 2,
+NumericsError exits 3.
 """
 
 

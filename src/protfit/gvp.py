@@ -34,7 +34,8 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import DataError
 from .geometry import RbfConfig, SpatialGraph, build_knn_graph, build_radius_graph, cross_knn
-from .io import N_RESIDUE_TYPES, Protein, ResidueEmbeddings, mask_context_tag
+from .io import (N_RESIDUE_TYPES, Protein, ResidueEmbeddings, mask_context_tag,
+                 read_file)
 from .surface import N_FEATURES, SurfacePointCloud
 
 CHECKPOINT_MAGIC = b"S3FC"
@@ -587,11 +588,7 @@ def load_checkpoint(path) -> FitnessModel:
     """Read an S3FC file written by ``save_checkpoint``. Raises DataError
     unless the file holds exactly one tensor of the right shape for every
     parameter of its config, and nothing after the last one."""
-    from pathlib import Path
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
-    blob = path.read_bytes()
+    blob = read_file(path)
     if blob[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: magic mismatch (not an S3FC file)")
     offset = 4

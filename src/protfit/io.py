@@ -14,13 +14,15 @@ concurrently. On-disk formats:
 * scores CSV: header with ``mutant`` and ``score`` (external, baseline
   and written score files alike); every score must be finite
 
-Every text table (structures, assays, scores, cloud dumps, reports) is
-read through ``read_text_lines``: the bytes must decode as UTF-8 and
-lines starting with ``#`` are comments. ``read_csv_rows`` and
-``read_csv`` parse CSV on top of it, and ``write_csv`` writes every CSV
-table: ``# `` header lines, then the rows. Malformed input of any kind
-raises DataError; a "row N" in its message is line N of the file,
-counting comment and blank lines.
+Every reader opens its file through ``read_file``, which turns an
+OSError (a missing file, a directory, no permission) into a DataError
+naming the path. Every text table (structures, assays, scores, cloud
+dumps, reports) is read through ``read_text_lines``: the bytes must
+decode as UTF-8 and lines starting with ``#`` are comments.
+``read_csv_rows`` and ``read_csv`` parse CSV on top of it, and
+``write_csv`` writes every CSV table: ``# `` header lines, then the
+rows. Malformed input of any kind raises DataError; a "row N" in its
+message is line N of the file, counting comment and blank lines.
 
 Each input rule has one owner. Both structure formats reduce to
 ``(line, residue index, one-letter code, xyz, pLDDT)`` records from a
@@ -283,10 +285,8 @@ def load_structure(path, name: str = None) -> Protein:
     """Load a structure file, inferring the format from the extension; a
     suffix not in ``STRUCTURE_FORMATS`` reads as tsv."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"structure file not found: {path}")
     fmt = STRUCTURE_FORMATS.get(path.suffix.lower(), "tsv")
-    return parse_structure(path.read_bytes(), fmt, name or path.stem)
+    return parse_structure(read_file(path), fmt, name or path.stem)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +356,7 @@ def save_embeddings(path, rows, context_tag: str = "") -> None:
 
 
 def load_embeddings(path) -> ResidueEmbeddings:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"embedding file not found: {path}")
-    blob = path.read_bytes()
+    blob = read_file(path)
     if blob[:4] != EMBED_MAGIC:
         raise DataError(f"{path}: magic mismatch (not an S3FE file)")
     if len(blob) < 16:
@@ -385,6 +382,15 @@ def load_embeddings(path) -> ResidueEmbeddings:
 # text tables
 # ---------------------------------------------------------------------------
 
+def read_file(path) -> bytes:
+    """The bytes of the file at ``path``. Any OSError (a missing file, a
+    directory, no permission) is a DataError naming the path."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _decode(data: bytes, where) -> str:
     try:
         return data.decode("utf-8")
@@ -395,10 +401,7 @@ def _decode(data: bytes, where) -> str:
 def _numbered_lines(path) -> list:
     """(1-based line number, line) of each line of a UTF-8 text file, line
     ends kept, ``#`` lines dropped."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
-    text = StringIO(_decode(path.read_bytes(), path), newline="")
+    text = StringIO(_decode(read_file(path), path), newline="")
     return [(i, line) for i, line in enumerate(text, start=1)
             if not line.startswith("#")]
 

@@ -73,17 +73,16 @@ def auc(scores, labels) -> float:
     return float(wins / (len(pos) * len(neg)))
 
 
-def mcc(scores, labels, threshold="median") -> float:
-    """Matthews correlation after binarizing scores at the assay median
-    (or a given value); 0 when any confusion-matrix marginal is empty."""
+def mcc(scores, labels) -> float:
+    """Matthews correlation after binarizing scores at the assay median;
+    0 when any confusion-matrix marginal is empty."""
     scores = _as_vector(scores, "scores")
     labels = np.asarray(labels, dtype=np.int64)
     if set(np.unique(labels)) - {0, 1}:
         raise DataError("labels must be 0/1")
     if len(set(labels.tolist())) < 2:
         raise DataError("both classes must be present")
-    cut = float(np.median(scores)) if threshold == "median" else float(threshold)
-    pred = scores > cut
+    pred = scores > float(np.median(scores))
     actual = labels == 1
     tp = float(np.sum(pred & actual))
     tn = float(np.sum(~pred & ~actual))

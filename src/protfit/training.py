@@ -27,7 +27,7 @@ from .errors import DataError, NumericsError
 from .gvp import (SURFACE_MODES, Corruption, FitnessModel, ModelConfig,
                   save_checkpoint)
 from .io import (N_RESIDUE_TYPES, STRUCTURE_FORMATS, Protein, load_embeddings,
-                 load_structure, write_csv)
+                 load_structure, read_file, write_csv)
 from .scoring import DEFAULT_EXCISE_M
 from .surface import SurfaceConfig, excise_near_residue, featured_cloud
 
@@ -324,12 +324,9 @@ def load_train_state(path):
     Raises DataError unless the file reads whole and holds a float array of
     the right shape for every parameter, and moments only for parameters.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"resume state not found: {path}")
     try:
         # read the bytes first: on a corrupt zip np.load leaks its open file
-        with np.load(BytesIO(path.read_bytes())) as data:
+        with np.load(BytesIO(read_file(path))) as data:
             arrays = {key: data[key] for key in data.files}
         meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
         model = FitnessModel(ModelConfig.from_json(meta["config"]))

@@ -18,7 +18,8 @@ import scipy.sparse.linalg
 from protfit import cli, surface
 from protfit.corpus import make_motif_corpus, make_synthetic_variants
 from protfit.errors import NumericsError
-from protfit.gvp import ModelConfig, load_checkpoint
+from protfit.gvp import (FitnessModel, ModelConfig, load_checkpoint,
+                         save_checkpoint)
 from protfit.io import load_structure
 from protfit.metrics import bootstrap_diff_stderr, read_report_csv, spearman
 from protfit.scoring import read_scores_csv
@@ -725,15 +726,18 @@ def test_embed_pack_matrix_without_rows_exits_2(tmp_path, capsys, text):
 # every numeric flag at its edge values
 # ---------------------------------------------------------------------------
 
+def _subcommands():
+    """Subcommand name -> its parser, from ``build_parser()``."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _numeric_options():
     """(command, flag) for every typed (int, float or non-negative int)
     option of every subcommand except --threads, which would start that
     many BLAS threads."""
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
     return [(name, action.option_strings[0])
-            for name, sub in commands.items() for action in sub._actions
+            for name, sub in _subcommands().items() for action in sub._actions
             if action.option_strings and action.type is not None
             and action.dest != "threads"]
 
@@ -788,6 +792,106 @@ def test_numeric_flag_edge_values_keep_the_exit_contract(
     assert code in (0, 1, 2, 3)
     if code == 0:
         assert _non_finite_outputs(out) == []
+
+
+# ---------------------------------------------------------------------------
+# every path argument at a path that cannot be read or written
+# ---------------------------------------------------------------------------
+
+# What each path argument of each subcommand names: a file that is read
+# ("in"), a directory that is read ("in_dir"), a file that is written
+# ("out") or a directory that outputs are written into ("out_dir").
+PATH_KINDS = {
+    "surface": {"structure": "in", "out": "out", "config": "in"},
+    "pretrain": {"corpus": "in_dir", "out_dir": "out_dir", "resume": "in",
+                 "clouds": "in_dir", "config": "in"},
+    "score": {"checkpoint": "in", "structure": "in", "assay": "in",
+              "out": "out", "embeddings": "in_dir", "baseline": "in",
+              "external": "in", "cloud": "in", "config": "in"},
+    "eval": {"scores": "in", "assay": "in", "out": "out", "scores_b": "in",
+             "config": "in"},
+    "embed-pack": {"matrix": "in", "out": "out"},
+}
+
+
+def test_path_table_covers_every_path_argument():
+    """Every argument that takes a value but has no type and no choices
+    names a path, except --group-by (a column) and --tag (a text)."""
+    found = {name: {action.dest for action in sub._actions
+                    if action.type is None and action.choices is None
+                    and action.nargs != 0
+                    and action.dest not in ("group_by", "tag")}
+             for name, sub in _subcommands().items()}
+    assert found == {name: set(kinds) for name, kinds in PATH_KINDS.items()}
+
+
+def _bad_path(kind, case, tmp_path):
+    """A path of the wrong kind for ``kind`` (a directory for a file, a
+    file for a directory), or a missing one (for an output: one inside a
+    missing directory, or inside a file)."""
+    folder, regular = tmp_path / "a_dir", tmp_path / "a_file"
+    folder.mkdir()
+    regular.write_text("x\n")
+    if case == "wrong_kind":
+        return regular if kind in ("in_dir", "out_dir") else folder
+    return {"in": tmp_path / "missing", "in_dir": tmp_path / "missing",
+            "out": tmp_path / "missing" / "x", "out_dir": regular / "x"}[kind]
+
+
+def _path_run(command, dest, workspace, trained, tmp_path):
+    """(dest -> value of each required path argument, other arguments) of
+    a valid run of ``command`` that reads ``dest`` when it is given."""
+    root, _, variants = workspace
+    structure = root / "corpus" / "motif000.tsv"
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "surface":
+        paths = {"structure": structure, "out": out / "c.tsv"}
+        extra = SURFACE_FLAGS
+    elif command == "pretrain":
+        paths = {"corpus": root / "corpus", "out_dir": out}
+        extra = ["--epochs", "1", "--batch-size", "2", *MODEL_FLAGS,
+                 *SURFACE_FLAGS]
+    elif command == "score":
+        paths = {"checkpoint": trained, "structure": structure,
+                 "assay": root / "assay.csv", "out": out / "s.csv"}
+        extra = SURFACE_FLAGS
+        if dest == "embeddings":   # read by file-mode checkpoints only
+            paths["checkpoint"] = tmp_path / "file.s3fc"
+            save_checkpoint(FitnessModel(ModelConfig(
+                mode="s2f", embedder="file", scalar_dim=4, vector_dim=2,
+                structure_layers=1, embed_dim=4)), paths["checkpoint"])
+    elif command == "eval":
+        paths = {"scores": tmp_path / "scores.csv",
+                 "assay": root / "assay.csv", "out": out / "r.csv"}
+        _write_scores(paths["scores"], [("WT", 0.0)] + [
+            (v, 1.0 + i) for i, v in enumerate(variants)])
+        extra = []
+    else:
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("1 2\n3 4\n")
+        paths, extra = {"matrix": matrix, "out": out / "m.s3fe"}, []
+    return paths, extra
+
+
+@pytest.mark.parametrize("case", ["wrong_kind", "missing"])
+@pytest.mark.parametrize("command,dest", [
+    (command, dest) for command in PATH_KINDS for dest in PATH_KINDS[command]])
+def test_unusable_path_keeps_the_exit_contract(workspace, trained, tmp_path,
+                                               capsys, command, dest, case):
+    """Each path argument given a path it cannot use exits 2 (1 for
+    --config) with one stderr line naming the path."""
+    paths, extra = _path_run(command, dest, workspace, trained, tmp_path)
+    bad = paths[dest] = _bad_path(PATH_KINDS[command][dest], case, tmp_path)
+    argv = [command]
+    for action in _subcommands()[command]._actions:
+        if action.dest in paths:
+            argv += [*action.option_strings[:1], paths[action.dest]]
+    code = cli.main([str(a) for a in argv + list(extra)])
+    err = capsys.readouterr().err
+    assert code == (1 if dest == "config" else 2), err
+    assert len(err.splitlines()) == 1 and str(bad) in err, err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -444,3 +446,15 @@ def test_reader_mutated_bytes_data_error_only(sample_dir, name, flips):
         READERS[name](mutated)
     except DataError:
         pass
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("name", READERS)
+def test_reader_unreadable_path_is_data_error(tmp_path, name, kind):
+    """A missing path, or a directory where the file should be, is a
+    DataError naming the path for every reader."""
+    path = tmp_path / name
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        READERS[name](path)
