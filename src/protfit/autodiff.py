@@ -3,22 +3,25 @@
 Everything runs in float64. An op computes its output array and hands
 ``_make(data, parents, vjps)`` one vector-Jacobian product per parent:
 ``vjps[i]`` maps the gradient of the output to the gradient of
-``parents[i]``, already reduced to that parent's shape. The output keeps
-its parents in ``_parents`` and the VJPs in ``_backward``.
-``Tensor.backward`` topologically sorts the tape and is the only place
-that routes gradients: it calls a VJP only for a parent that requires a
-gradient and adds the result into that parent's ``.grad``. Parents and
-VJPs are paired with ``zip(strict=True)``, so an op that leaves a VJP out
-raises instead of dropping a gradient. Inside ``no_grad()`` ops record
-neither, so inference builds no tape.
+``parents[i]``, already reduced to that parent's shape. An op whose
+parents' gradients share one costly pass (the fused GVP message step in
+``gvp``) hands one joint VJP instead, which returns every parent's
+gradient at once. The output keeps its parents in ``_parents`` and the
+VJPs in ``_backward``. ``Tensor.backward`` topologically sorts the tape
+and is the only place that routes gradients: it calls a per-parent VJP
+only for a parent that requires a gradient and adds the result into that
+parent's ``.grad``. Parents and gradients are paired with
+``zip(strict=True)``, so an op that leaves one out raises instead of
+dropping a gradient. Inside ``no_grad()`` ops record neither, so
+inference builds no tape.
 
 Only the ops the network needs are implemented: elementwise arithmetic
 with broadcasting, affine maps of split row blocks (``linear_split``,
-which also mixes vector channels and projects gathered rows before the
-gather), 2-D transpose and reshape, row gather and substitution,
-sorted-segment sums, reductions, and the usual nonlinearities. All
-reductions use fixed summation orders, so repeated runs are
-bit-identical.
+which also mixes vector channels), 2-D transpose, reshape and column
+views, row gather and substitution, sorted-segment sums, reductions, and
+the usual nonlinearities (whose array forms ``relu_data`` and
+``sigmoid_data`` the fused message step shares). All reductions use
+fixed summation orders, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -41,25 +44,24 @@ def _keep_freed_heap() -> None:
     """Keep freed heap memory in the process for the next forward pass
     or surface.
 
-    Scoring builds no tape, but each forward pass still allocates and
-    frees edge-level temporaries of a few MB at desk scale and tens of MB
-    at 150 residues, and a pretrain step frees its whole tape (about
-    110 MB for a 36-residue protein with 224 surface points) when it
-    ends. When freed memory ends the heap, glibc returns it to the OS,
-    and the next pass page-faults it back in. On a 2-vCPU x86_64 VM with
-    one BLAS thread, leaving glibc's defaults cost about 9.0k minor page
-    faults per perfbench score-sat op (39 variants on two sites of that
-    protein) against 0 with this setting, 21.7k per score-multi-default
-    op (two 150-residue passes) against 3, and 48 per pretrain-desk op
-    against 7.
+    Each forward pass, backward pass and surface allocates and frees
+    temporaries of up to a few MB: the fused message step holds one chunk
+    of edge rows plus node-level arrays, and a pretrain step frees its
+    whole tape when it ends. When freed memory ends the heap, glibc
+    returns it to the OS, and the next pass page-faults it back in.
+    Measured on a 2-vCPU x86_64 VM with one BLAS thread, 15 s of
+    perfbench ops after set-up, three rounds of each setting alternating
+    (minor page faults per op, then ops/s, with this setting against
+    without it):
 
-    Surface generation builds no tape either, yet depends on this most:
-    its field, eigensolver and kNN temporaries, up to tens of MB, are
-    freed when each cloud is done. On the same VM a perfbench
-    surface-mixed op (one surface with features and a dump round trip,
-    80 to 200 residues) took about 12.6k minor page faults in process
-    without this setting against 4 with it, and in two 20 s perfbench
-    runs its ops_per_s fell by 13% and 4% (score-sat's by 12% and 7%).
+    - score-sat: 3.7-4.2 against 1900-3800 faults; 17.4-19.3 against
+      11.9-15.6 ops/s.
+    - pretrain-desk: 106-115 against 760-1200 faults; 4.7-5.2 against
+      4.2-5.0 ops/s.
+    - score-multi-default: 58-85 against 146-439 faults; 3.8-5.4
+      against 3.5-5.4 ops/s, within the host's drift.
+    - surface-mixed: 147-156 against 980-1060 faults; 4.7-5.2 against
+      4.9-5.2 ops/s, within the host's drift.
 
     This turns heap trimming off and fixes the mmap threshold at 32 MiB,
     the ceiling of glibc's own dynamic threshold, since setting either
@@ -155,9 +157,14 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is None or node.grad is None:
                 continue
-            for p, vjp in zip(node._parents, node._backward, strict=True):
+            if callable(node._backward):
+                grads = node._backward(node.grad)
+            else:
+                grads = [vjp(node.grad) if p.requires_grad else None
+                         for p, vjp in zip(node._parents, node._backward, strict=True)]
+            for p, g in zip(node._parents, grads, strict=True):
                 if p.requires_grad:
-                    p._accumulate(vjp(node.grad))
+                    p._accumulate(g)
             node.grad = None
 
     # ---- operator sugar ----
@@ -215,11 +222,14 @@ def no_grad():
 
 
 def _make(data, parents, vjps) -> Tensor:
+    """The output of an op: ``vjps`` is one VJP per parent, or one joint
+    VJP that maps the output gradient to a tuple of every parent's
+    gradient in a single pass."""
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
-        out._backward = tuple(vjps)
+        out._backward = vjps if callable(vjps) else tuple(vjps)
     return out
 
 
@@ -260,74 +270,25 @@ def div(a, b) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-class _RowFold:
-    """``g -> _scatter_rows(idx, g, n)``: the output gradient of a gathered
-    ``linear_split`` part summed onto the rows it was gathered from. A
-    one-slot cache holds the last ``g`` (matched by identity, so a new
-    backward never reads an old fold), which lets the part's VJP and the
-    weight VJP share one scatter; the weight VJP, the last to run, empties
-    the slot."""
-
-    __slots__ = ("idx", "n", "g", "folded")
-
-    def __init__(self, idx: np.ndarray, n: int):
-        self.idx, self.n = idx, n
-        self.g = self.folded = None
-
-    def __call__(self, g: np.ndarray) -> np.ndarray:
-        if self.g is not g:
-            self.g, self.folded = g, _scatter_rows(self.idx, g, self.n)
-        return self.folded
-
-    def release(self) -> None:
-        self.g = self.folded = None
-
-
 def linear_split(parts, w, b=None) -> Tensor:
     """Affine map of a conceptual concat without materializing it:
     sum_i parts[i] @ w[rows_i] (+ b), where w's rows are split by the
-    parts' widths.
-
-    A part may be a ``(tensor, idx)`` pair, standing for the gathered rows
-    ``tensor[idx]`` (graph edges reading their source nodes, say). It is
-    projected before the gather, ``(tensor @ w[rows_i])[idx]``, so the
-    matmul runs over the tensor's rows however often idx repeats them. Its
-    backward sums the output gradient onto those rows once, and the part's
-    VJP and the weight VJP both multiply over them. Parts are added in
-    order and the bias last, as for rows gathered first; the two can still
-    differ in the last bit, since BLAS may round a row of a product
-    differently when the product has another number of rows."""
-    pairs = [p if isinstance(p, tuple) else (p, None) for p in parts]
-    tensors = [as_tensor(t) for t, _ in pairs]
-    folds = [None if idx is None
-             else _RowFold(np.asarray(idx, dtype=np.int64), t.data.shape[0])
-             for t, (_, idx) in zip(tensors, pairs)]
+    parts' widths. Parts are added in order and the bias last."""
+    tensors = [as_tensor(t) for t in parts]
     w = as_tensor(w)
     rows = _blocks([t.data.shape[1] for t in tensors])
-    out = None
-    for t, fold, r in zip(tensors, folds, rows):
-        term = t.data @ w.data[r]
-        if fold is not None:
-            term = term[fold.idx]
-        if out is None:
-            out = term
-        else:
-            out += term
-
-    def rows_grad(fold, g):
-        return g if fold is None else fold(g)
+    out = tensors[0].data @ w.data[rows[0]]
+    for t, r in zip(tensors[1:], rows[1:]):
+        out += t.data @ w.data[r]
 
     def vjp_w(g):
         gw = np.empty_like(w.data)
-        for t, fold, r in zip(tensors, folds, rows):
-            gw[r] = t.data.T @ rows_grad(fold, g)
-            if fold is not None:
-                fold.release()
+        for t, r in zip(tensors, rows):
+            gw[r] = t.data.T @ g
         return gw
 
     parents = (*tensors, w)
-    vjps = [lambda g, fold=fold, r=r: rows_grad(fold, g) @ w.data[r].T
-            for fold, r in zip(folds, rows)] + [vjp_w]
+    vjps = [lambda g, r=r: g @ w.data[r].T for r in rows] + [vjp_w]
     if b is not None:
         b = as_tensor(b)
         out = out + b.data
@@ -350,6 +311,21 @@ def transpose(x) -> Tensor:
     """Transpose of a 2-D tensor (a view; no copy)."""
     x = as_tensor(x)
     return _make(x.data.T, (x,), (lambda g: g.T,))
+
+
+def columns(x, start: int, shape: tuple) -> Tensor:
+    """Columns start:start + prod(shape) of a 2-D tensor, each row viewed
+    as ``shape``; one part of an op output that packs several."""
+    x = as_tensor(x)
+    stop = start + math.prod(shape)
+
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        gx[:, start:stop] = g.reshape(len(g), stop - start)
+        return gx
+
+    return _make(x.data[:, start:stop].reshape((len(x.data),) + tuple(shape)),
+                 (x,), (vjp,))
 
 
 def gather(x, idx) -> Tensor:
@@ -431,19 +407,29 @@ def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
     return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
+def relu_data(x: np.ndarray) -> np.ndarray:
+    """max(x, 0) with +0.0 for every x that is not > 0 (NaN and -0.0
+    included)."""
+    return np.fmax(x, 0.0) + 0.0
+
+
+def sigmoid_data(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in a form that overflows for no x. exp takes
+    min(x, -x) rather than -|x|, which would flip the sign of a NaN."""
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    mask = x.data > 0
-    return _make(np.where(mask, x.data, 0.0), (x,), (lambda g: g * mask,))
+    out = relu_data(x.data)
+    return _make(out, (x,), (lambda g: g * (out > 0),))
 
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    out = np.empty_like(x.data)
-    pos = x.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = sigmoid_data(x.data)
     return _make(out, (x,), (lambda g: g * out * (1.0 - out),))
 
 

@@ -268,12 +268,24 @@ def _config(cls, resolved: dict):
 # commands
 # ---------------------------------------------------------------------------
 
+def _output_file(path) -> None:
+    """A DataError unless ``path`` can name a file to write: not a
+    directory, and inside one. Commands check their outputs this way
+    before any surface or model work."""
+    path = Path(path)
+    if path.is_dir():
+        raise DataError(f"cannot write {path}: Is a directory")
+    if not path.parent.is_dir():
+        raise DataError(f"cannot write {path}: {path.parent} is not a directory")
+
+
 def cmd_surface(args) -> int:
     from .io import load_structure
     from .surface import SurfaceConfig, featured_cloud, write_cloud_tsv
     resolved = _resolve(args)
     cfg = _config(SurfaceConfig, resolved)
     protein = load_structure(args.structure)
+    _output_file(args.out)
     cloud = featured_cloud(protein, cfg, resolved["seed"])
     write_cloud_tsv(cloud, args.out, header_lines=_header_lines(resolved))
     print(f"wrote {cloud.n_points} surface points to {args.out}")
@@ -310,6 +322,8 @@ def _dir_embeddings_provider(directory, protein):
             raise DataError(f"no embeddings for variant {name!r}: {path}")
         return load_embeddings(path)
 
+    if not Path(directory).is_dir():
+        raise DataError(f"embeddings path is not a directory: {directory}")
     return provider
 
 
@@ -335,12 +349,13 @@ def cmd_score(args) -> int:
     elif args.embeddings:
         raise UsageError("--embeddings is for file-mode checkpoints; this "
                          "checkpoint embeds with its own toy embedder")
+    baseline = load_external_scores(args.baseline) if args.baseline else None
+    external = _assay_scores(args.external, assay) if args.external else None
+    _output_file(args.out)
     base_cloud = None
     if mode in SURFACE_MODES:
         base_cloud = featured_cloud(protein, _config(SurfaceConfig, resolved),
                                     resolved["seed"], dump=args.cloud)
-    baseline = load_external_scores(args.baseline) if args.baseline else None
-    external = _assay_scores(args.external, assay) if args.external else None
     scores = score_assay(
         model, protein, assay, base_cloud=base_cloud,
         embeddings_provider=provider, baseline=baseline,

@@ -16,6 +16,14 @@ from the wanted rows, one in-neighbor hop per layer, and
 ``run_message_passing`` computes at each layer only the rows the next
 layer reads, on the true edges of those rows.
 
+The message half of each block is one autodiff op (``_message_step``):
+it multiplies node rows by the message GVP's node weights once, runs the
+GVP over the edges in chunks that end where the destination changes, and
+sums each chunk onto its destination rows, so only node-level inputs and
+outputs and one chunk of edge rows are alive at a time. Its backward
+pass recomputes each chunk and applies the GVP's hand-derived
+vector-Jacobian product, one loop for all eight parents.
+
 Residue embeddings come either from S3FE files (frozen upstream model)
 or from a small trainable embedder: a 21-row type table (row 20 is the
 mask token) averaged over a +-2 sequence window.
@@ -156,19 +164,8 @@ class ModelConfig:
 def _channel_mix(w, vectors: list) -> Tensor:
     """(o, c) weights applied to the channels of (n, 3, c) vector parts,
     taken as one channel-axis concat. x, y and z rows all go through the
-    same map, which keeps it rotation-equivariant. A part may be a
-    ``(vector, idx)`` pair for the rows ``vector[idx]``, mixed before the
-    gather as in ``ad.linear_split``: in the (3n, c) view its rows are
-    ``3 * idx + [0, 1, 2]``."""
-    rows = []
-    for part in vectors:
-        v, idx = part if isinstance(part, tuple) else (part, None)
-        flat = ad.reshape(v, (3 * v.shape[0], v.shape[2]))
-        if idx is None:
-            rows.append(flat)
-        else:
-            idx = np.asarray(idx, dtype=np.int64)
-            rows.append((flat, (3 * idx[:, None] + np.arange(3)).reshape(-1)))
+    same map, which keeps it rotation-equivariant."""
+    rows = [ad.reshape(v, (3 * v.shape[0], v.shape[2])) for v in vectors]
     out = ad.linear_split(rows, ad.transpose(w))
     return ad.reshape(out, (out.shape[0] // 3, 3, out.shape[1]))
 
@@ -177,9 +174,7 @@ def gvp_apply(p: GvpParams, scalar, vector):
     """One geometric vector perceptron on a batch of (scalar, vector) rows.
 
     Scalar and vector inputs may each be a list of tensors, treated as a
-    feature-axis concatenation (node state plus edge features, say). A
-    list entry may be a ``(tensor, idx)`` pair for the rows
-    ``tensor[idx]``, projected before the gather (``ad.linear_split``).
+    feature-axis concatenation (node state plus edge features, say).
     """
     scalars = scalar if isinstance(scalar, list) else [scalar]
     vectors = vector if isinstance(vector, list) else [vector]
@@ -204,6 +199,124 @@ def _rescale_vector(v: Tensor) -> Tensor:
     n_channels = v.shape[2]
     fro2 = ad.tsum(v * v, axis=(1, 2), keepdims=True)
     return v * (np.sqrt(n_channels) / ad.sqrt(fro2 + 1e-8))
+
+
+# Edge rows per chunk of the fused message step. A chunk runs on to the
+# end of its last destination's in-edges, so no output row's sum is split
+# and each keeps its (dst, src) order. Of 128 to 8192 rows, 512 was the
+# fastest on score-multi-default graphs (2-vCPU x86_64, one BLAS thread).
+_MESSAGE_CHUNK = 512
+
+
+def _edge_chunks(dst: np.ndarray) -> list:
+    """(edge slice, run starts within it, output row of each run) for
+    consecutive chunks of about ``_MESSAGE_CHUNK`` sorted edges, cut only
+    where ``dst`` changes."""
+    runs = np.flatnonzero(np.diff(dst, prepend=-1))
+    ends = np.append(runs, len(dst))
+    chunks, r = [], 0
+    while r < len(runs):
+        r_end = np.searchsorted(runs, runs[r] + _MESSAGE_CHUNK)
+        chunks.append((slice(runs[r], ends[r_end]), runs[r:r_end] - runs[r],
+                       dst[runs[r:r_end]]))
+        r = r_end
+    return chunks
+
+
+def _message_step(p: GvpParams, scalar: Tensor, vector: Tensor,
+                  graph: SpatialGraph, edges: np.ndarray, src: np.ndarray,
+                  dst: np.ndarray, keep: np.ndarray) -> Tensor:
+    """The message half of a block as one op: rows ``keep`` of the state
+    plus the mean message GVP over each row's in-edges. The message is
+    ``gvp_apply`` of the source row's state with the edge's RBF scalars
+    and its vector x_src - x_dst appended; ``edges`` are the graph's
+    edges into the kept rows, ``src`` their source rows and ``dst`` their
+    sorted output rows. Returns the new (n_out, d + 3 * dv) scalar and
+    flattened vector rows side by side.
+
+    Node rows are multiplied by their weights once, before any edge reads
+    them. The GVP then runs chunk by chunk (``_edge_chunks``) and each
+    chunk's messages are summed onto their rows at once, so no edge-level
+    array outlives its chunk. The backward pass recomputes each chunk
+    (Chen et al., arXiv:1604.06174) and runs one loop for every parent:
+    edge gradients are folded onto source rows, in edge order within a
+    chunk, and the node-row weight gradients are taken once after it."""
+    S, V = scalar.data, vector.data
+    n_in, d = S.shape
+    dv = V.shape[2]
+    n_out = len(keep)
+    w_h, w_mu, w_m, b_m, w_g, b_g = (
+        t.data for t in (p.w_h, p.w_mu, p.w_m, p.b_m, p.w_g, p.b_g))
+    d_h = w_h.shape[0]
+    n_rbf = graph.edge_scalar.shape[1]
+    w_node, w_rbf, w_norm = w_m[:d], w_m[d:d + n_rbf], w_m[d + n_rbf:]
+    w_edge = w_h[:, dv]  # the edge vector is the last input channel
+    proj_s = S @ w_node
+    proj_v = (V.reshape(3 * n_in, dv) @ w_h[:, :dv].T).reshape(n_in, 3, d_h)
+    inv_deg = 1.0 / np.maximum(np.bincount(dst, minlength=n_out), 1)
+    chunks = _edge_chunks(dst)
+
+    def recompute(c):
+        e, j = edges[c], src[c]
+        v_h = proj_v[j] + graph.edge_vec[e][:, :, None] * w_edge
+        norms = np.sqrt((v_h * v_h).sum(axis=1) + 1e-8)
+        lin = proj_s[j]
+        lin += graph.edge_scalar[e] @ w_rbf
+        lin += norms @ w_norm
+        lin += b_m
+        s = ad.relu_data(lin)
+        v_mu = (v_h.reshape(-1, d_h) @ w_mu.T).reshape(len(j), 3, dv)
+        return v_h, norms, lin, s, v_mu, ad.sigmoid_data(s @ w_g + b_g)
+
+    msg_s, msg_v = np.zeros((n_out, d)), np.zeros((n_out, 3, dv))
+    for c, starts, rows in chunks:
+        *_, s, v_mu, gate = recompute(c)
+        msg_s[rows] = np.add.reduceat(s, starts, axis=0)
+        msg_v[rows] = np.add.reduceat(v_mu * gate[:, None, :], starts, axis=0)
+    out = np.empty((n_out, d + 3 * dv))
+    out[:, :d] = S[keep] + msg_s * inv_deg[:, None]
+    out[:, d:] = (V[keep] + msg_v * inv_deg[:, None, None]).reshape(n_out, 3 * dv)
+
+    def vjp(g):
+        g_s, g_v = g[:, :d], g[:, d:].reshape(n_out, 3, dv)
+        g_S, g_V = np.zeros_like(S), np.zeros_like(V)
+        g_S[keep], g_V[keep] = g_s, g_v
+        g_s, g_v = g_s * inv_deg[:, None], g_v * inv_deg[:, None, None]
+        g_proj_s, g_proj_v = np.zeros_like(proj_s), np.zeros_like(proj_v)
+        g_rbf, g_norm = np.zeros_like(w_rbf), np.zeros_like(w_norm)
+        g_mu, g_g = np.zeros_like(w_mu), np.zeros_like(w_g)
+        g_bm, g_bg, g_edge = np.zeros_like(b_m), np.zeros_like(b_g), np.zeros(d_h)
+        for c, _, _ in chunks:
+            v_h, norms, lin, s, v_mu, gate = recompute(c)
+            e, j, out_rows = edges[c], src[c], dst[c]
+            g_out_v = g_v[out_rows]
+            g_z = (g_out_v * v_mu).sum(axis=1) * gate * (1.0 - gate)
+            g_vmu = (g_out_v * gate[:, None, :]).reshape(-1, dv)
+            g_g += s.T @ g_z
+            g_bg += g_z.sum(axis=0)
+            g_lin = (g_s[out_rows] + g_z @ w_g.T) * (lin > 0)
+            g_bm += g_lin.sum(axis=0)
+            g_rbf += graph.edge_scalar[e].T @ g_lin
+            g_norm += norms.T @ g_lin
+            g_mu += g_vmu.T @ v_h.reshape(-1, d_h)
+            g_vh = (g_vmu @ w_mu).reshape(v_h.shape)
+            g_vh += v_h * ((g_lin @ w_norm.T) / norms)[:, None, :]
+            g_edge += graph.edge_vec[e].reshape(-1) @ g_vh.reshape(-1, d_h)
+            order = np.argsort(j, kind="stable")
+            firsts = np.flatnonzero(np.diff(j[order], prepend=-1))
+            rows = j[order[firsts]]
+            g_proj_s[rows] += np.add.reduceat(g_lin[order], firsts, axis=0)
+            g_proj_v[rows] += np.add.reduceat(g_vh[order], firsts, axis=0)
+        g_S += g_proj_s @ w_node.T
+        g_pv = g_proj_v.reshape(3 * n_in, d_h)
+        g_V += (g_pv @ w_h[:, :dv]).reshape(V.shape)
+        g_wh = np.concatenate([g_pv.T @ V.reshape(3 * n_in, dv), g_edge[:, None]],
+                              axis=1)
+        g_wm = np.concatenate([S.T @ g_proj_s, g_rbf, g_norm])
+        return g_S, g_V, g_wh, g_mu, g_wm, g_bm, g_g, g_bg
+
+    return ad._make(out, (scalar, vector, p.w_h, p.w_mu, p.w_m, p.b_m, p.w_g,
+                          p.b_g), vjp)
 
 
 def receptive_sets(graph: SpatialGraph, out_nodes, n_layers: int) -> list:
@@ -253,9 +366,8 @@ def run_message_passing(blocks, graph: SpatialGraph, state: GvpState,
     a set that lacks a row of the next set or one of its in-neighbors, is
     a DataError.
 
-    The message GVP takes the source rows as ``(state, src)`` pairs, so
-    its node-state weights multiply the rows of node_sets[l] before they
-    are gathered onto edges (``ad.linear_split``)."""
+    The message half of each block is one op (``_message_step``) that
+    holds node-level state and one chunk of edges at a time."""
     if node_sets is None:
         node_sets = [np.arange(graph.n_nodes)] * (len(blocks) + 1)
     if len(node_sets) != len(blocks) + 1:
@@ -265,26 +377,17 @@ def run_message_passing(blocks, graph: SpatialGraph, state: GvpState,
     if scalar.shape[0] != len(node_sets[0]) or vector.shape[0] != len(node_sets[0]):
         raise DataError(f"state has {scalar.shape[0]} scalar and {vector.shape[0]} "
                         f"vector rows, node_sets[0] has {len(node_sets[0])}")
+    d, dv = scalar.shape[1], vector.shape[2]
     for block, rows_in, rows_out in zip(blocks, node_sets, node_sets[1:]):
-        n_out = len(rows_out)
         keep = _positions(rows_in, rows_out)
         into = np.zeros(graph.n_nodes, dtype=bool)
         into[rows_out] = True
         edges = np.flatnonzero(into[graph.dst])
-        kept_s, kept_v = scalar, vector
-        if n_out < len(rows_in):
-            kept_s, kept_v = ad.gather(scalar, keep), ad.gather(vector, keep)
-        if len(edges):
-            src = _positions(rows_in, graph.src[edges])
-            dst = _positions(rows_out, graph.dst[edges])
-            inv_deg = 1.0 / np.maximum(np.bincount(dst, minlength=n_out), 1)
-            msg_s, msg_v = gvp_apply(
-                block.message,
-                [(scalar, src), Tensor(graph.edge_scalar[edges])],
-                [(vector, src), Tensor(graph.edge_vec[edges, :, None])])
-            kept_s = kept_s + ad.segment_sum(msg_s, dst, n_out) * inv_deg[:, None]
-            kept_v = kept_v + ad.segment_sum(msg_v, dst, n_out) * inv_deg[:, None, None]
-        scalar, vector = kept_s, kept_v
+        packed = _message_step(block.message, scalar, vector, graph, edges,
+                               _positions(rows_in, graph.src[edges]),
+                               _positions(rows_out, graph.dst[edges]), keep)
+        scalar = ad.columns(packed, 0, (d,))
+        vector = ad.columns(packed, d, (3, dv))
         ff_s, ff_v = gvp_apply(block.feedforward, scalar, vector)
         scalar = scalar + ff_s
         vector = vector + ff_v

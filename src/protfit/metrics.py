@@ -140,9 +140,9 @@ def bootstrap_diff_stderr(metric_a, metric_b, n_boot: int = 10000,
                           seed: int = 0) -> float:
     """Std of the resampled difference of per-assay metric means: resample
     assay indices with replacement, take mean(a) - mean(b) per resample.
-    The indices come from one draw; the means are taken ``_BOOT_BLOCK``
-    resamples at a time, so no float array of the whole (n_boot, n) shape
-    is built."""
+    Indices are drawn and used ``_BOOT_BLOCK`` resamples at a time, so no
+    array of the whole (n_boot, n) shape is built; the generator hands out
+    the same indices as one (n_boot, n) draw."""
     a = _as_vector(metric_a, "metric_a")
     b = _as_vector(metric_b, "metric_b")
     if len(a) != len(b):
@@ -152,10 +152,9 @@ def bootstrap_diff_stderr(metric_a, metric_b, n_boot: int = 10000,
     if n_boot < 1:
         raise DataError(f"bootstrap resamples must be >= 1, got {n_boot}")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(a), size=(n_boot, len(a)))
     diffs = np.empty(n_boot)
     for start in range(0, n_boot, _BOOT_BLOCK):
-        block = idx[start:start + _BOOT_BLOCK]
+        block = rng.integers(0, len(a), size=(min(_BOOT_BLOCK, n_boot - start), len(a)))
         diffs[start:start + _BOOT_BLOCK] = a[block].mean(axis=1) - b[block].mean(axis=1)
     return float(diffs.std())
 

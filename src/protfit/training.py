@@ -384,10 +384,17 @@ def pretrain(corpus_dir, model_cfg: ModelConfig, train_cfg: TrainConfig,
         optimizer = make_optimizer(model, train_cfg)
         rng = np.random.default_rng(train_cfg.seed)
         start_epoch = 0
-    # after the resume checks, so a rejected sidecar costs no surface work
+    out_dir = None if out_dir is None else Path(out_dir)
+    if out_dir is not None:
+        # checked, not made, here: a run rejected below leaves no directory
+        existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not existing.is_dir():
+            raise DataError(f"cannot make output directory {out_dir}: "
+                            f"{existing} is not a directory")
+    # after the resume and output checks, so a rejected sidecar or an
+    # unusable out_dir costs no surface work
     items = load_corpus(corpus_dir, model_cfg, surface_cfg, mode,
                         surface_seed=train_cfg.seed, clouds_dir=clouds_dir)
-    out_dir = None if out_dir is None else Path(out_dir)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     history = []

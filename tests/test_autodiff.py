@@ -8,7 +8,9 @@ from conftest import make_coil_protein
 from protfit import autodiff as ad
 from protfit.autodiff import Parameter, Tensor
 from protfit.errors import DataError
-from protfit.gvp import FitnessModel, ModelConfig, _channel_mix
+from protfit.geometry import RbfConfig, build_knn_graph
+from protfit.gvp import (FitnessModel, GvpBlock, GvpParams, GvpState, ModelConfig,
+                         _channel_mix, run_message_passing)
 
 
 def numeric_grad(fn, param, h=1e-6):
@@ -97,83 +99,46 @@ def test_linear_split_matches_concat(rng):
           [a, b, w, bias])
 
 
-def _small_ints(rng, shape):
-    """Integer-valued floats: every product and sum below is exact, so
-    two evaluation orders agree bit for bit on any BLAS."""
-    return rng.integers(-4, 5, shape).astype(float)
-
-
-def test_linear_split_gathered_part_equals_gather_first(rng):
-    t = Parameter(_small_ints(rng, (6, 4)))
-    b = Parameter(_small_ints(rng, (7, 2)))
-    w = Parameter(_small_ints(rng, (6, 5)))
-    bias = Parameter(_small_ints(rng, 5))
-    idx = np.array([0, 2, 2, 4, 0, 5, 2])
-    got = ad.linear_split([(t, idx), b], w, bias)
-    want = ad.linear_split([ad.gather(t, idx), b], w, bias)
-    assert np.array_equal(got.data, want.data)
-    # a gathered part after a plain one, and with real-valued data
-    t.data, w.data = rng.standard_normal((6, 4)), rng.standard_normal((6, 5))
-    got = ad.linear_split([b, (t, idx)], w)
-    want = ad.linear_split([b, ad.gather(t, idx)], w)
-    assert np.allclose(got.data, want.data, rtol=1e-14, atol=1e-14)
-
-
-@pytest.mark.parametrize("idx", [[0, 2, 2, 4, 0], [5, 5, 5], []],
-                         ids=["repeats-and-unused-rows", "one-row-repeated", "empty"])
-def test_linear_split_gathered_part_gradients(rng, idx):
-    idx = np.array(idx, dtype=np.int64)
-    t = Parameter(rng.standard_normal((6, 4)))
-    e = Parameter(rng.standard_normal((len(idx), 3)))
-    w = Parameter(rng.standard_normal((7, 5)))
-    bias = Parameter(rng.standard_normal(5))
-    weights = Tensor(rng.standard_normal((len(idx), 5)))
-    check(lambda: ad.tsum(ad.sigmoid(ad.linear_split([(t, idx), e], w, bias))
-                          * weights), [p for p in (t, e, w, bias) if p.data.size])
-    # the same tensor gathered twice, once as the second part
-    w2 = Parameter(rng.standard_normal((8, 2)))
-    check(lambda: ad.tsum(ad.sigmoid(ad.linear_split(
-        [(t, idx), (t, idx[::-1])], w2))), [t, w2])
-
-
-def test_channel_mix_gathered_part(rng):
-    w = Parameter(_small_ints(rng, (4, 5)))
-    v1 = Parameter(_small_ints(rng, (6, 3, 2)))
-    v2 = Parameter(_small_ints(rng, (5, 3, 3)))
-    idx = np.array([3, 0, 0, 5, 1])
-    got = _channel_mix(w, [(v1, idx), v2])
-    assert got.shape == (5, 3, 4)
-    assert np.array_equal(got.data, _channel_mix(w, [ad.gather(v1, idx), v2]).data)
-    v1.data, v2.data = rng.standard_normal((6, 3, 2)), rng.standard_normal((5, 3, 3))
-
-    def fn():
-        out = _channel_mix(w, [(v1, idx), v2])
-        return ad.tsum(out * out)
-
-    check(fn, [w, v1, v2])
-
-
 @pytest.mark.parametrize("needs_grad", ["both", "part", "weight"])
 def test_backward_twice_doubles_gradients(rng, needs_grad):
-    """The gathered part's fold is shared by its VJP and the weight VJP;
-    a second backward over the same tape must fold the new gradient, not
-    reuse the first one."""
-    t = Tensor(rng.standard_normal((5, 3)), requires_grad=needs_grad != "weight")
-    w = Tensor(rng.standard_normal((3, 4)), requires_grad=needs_grad != "part")
-    w2 = Parameter(rng.standard_normal((7, 2)))
-    idx = np.array([4, 1, 1, 0])
-    hidden = ad.relu(ad.linear_split([(t, idx)], w))
-    loss = ad.tsum(ad.sigmoid(ad.linear_split([hidden, (t, idx[::-1])], w2)))
-    leaves = [p for p in (t, w, w2) if p.requires_grad]
+    """The fused message step runs one backward pass for all its parents;
+    a second backward over the same tape must add the same gradients
+    again, whether the state, the weights or both need them."""
+    graph = build_knn_graph(rng.standard_normal((9, 3)), 3,
+                            rbf=RbfConfig(n_kernels=2))
+
+    def params(v_in, s_in, requires_grad):
+        # v_in input channels, 4 scalar and 2 vector output channels
+        shapes = dict(w_h=(v_in, v_in), w_mu=(2, v_in), w_m=(s_in + v_in, 4), b_m=4,
+                      w_g=(4, 2), b_g=2)
+        return GvpParams(**{k: Tensor(rng.standard_normal(shape), requires_grad)
+                            for k, shape in shapes.items()})
+
+    message = params(3, 6, needs_grad != "part")   # state, RBF and edge vector
+    feedforward = params(2, 4, False)
+    state = GvpState(
+        Tensor(rng.standard_normal((9, 4)), requires_grad=needs_grad != "weight"),
+        Tensor(rng.standard_normal((9, 3, 2)), requires_grad=needs_grad != "weight"))
+    out = run_message_passing([GvpBlock(message, feedforward)], graph, state)
+    loss = ad.tsum(ad.sigmoid(out.scalar)) + ad.tsum(out.vector * out.vector)
+    leaves = [t for t in (state.scalar, state.vector, *vars(message).values())
+              if t.requires_grad]
     loss.backward()
-    first = [p.grad.copy() for p in leaves]
+    first = [t.grad.copy() for t in leaves]
     loss.backward()
-    for p, g in zip(leaves, first):
-        assert np.allclose(p.grad, 2.0 * g, rtol=1e-14, atol=0)
+    for t, g in zip(leaves, first):
+        assert np.allclose(t.grad, 2.0 * g, rtol=1e-14, atol=0)
+    # 3 * a is rounded, unlike 2 * a, so the scaled pass agrees to rounding
     loss.backward(grad=np.array(3.0))
-    for p, g in zip(leaves, first):
-        assert np.allclose(p.grad, 5.0 * g, rtol=1e-14, atol=0)
-    assert loss.grad is None and hidden.grad is None
+    for t, g in zip(leaves, first):
+        assert np.abs(t.grad - 5.0 * g).max() <= 1e-12 * np.abs(g).max()
+    nodes, stack = [], [loss]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(nodes[-1]._parents)
+    step = [t for t in nodes if callable(t._backward)]   # the message step
+    assert len({id(t) for t in step}) == 1
+    assert all(t.grad is None for t in nodes if t._backward is not None)
 
 
 def test_segment_sum_rejects_unsorted_or_out_of_range_ids():
@@ -258,6 +223,29 @@ def test_nonlinearities(rng):
     check(lambda: ad.tsum(ad.relu(x) + ad.sigmoid(x)), [x])
     y = Parameter(np.abs(rng.standard_normal((3, 3))) + 0.5)
     check(lambda: ad.tsum(ad.sqrt(y)), [y])
+
+
+def test_relu_and_sigmoid_keep_the_reference_bit_patterns(rng):
+    """relu and sigmoid give the bits of the plain forms
+    ``where(x > 0, x, 0)`` and the two-branch logistic, also for -0.0,
+    infinities, subnormals, overflow and NaNs of either sign and any
+    payload."""
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                     0x7FF8000000000123, 0xFFF8000000000456,
+                     0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+    x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-320,
+                         -1e-320, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308],
+                        nans, rng.standard_normal(4000) * 40])
+    with np.errstate(all="ignore"):
+        relu_ref = np.where(x > 0, x, 0.0)
+        sigmoid_ref = np.empty_like(x)
+        pos = x >= 0
+        sigmoid_ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        sigmoid_ref[~pos] = ex / (1.0 + ex)
+        relu, sigmoid = ad.relu(Tensor(x)).data, ad.sigmoid(Tensor(x)).data
+    assert np.array_equal(relu.view(np.int64), relu_ref.view(np.int64))
+    assert np.array_equal(sigmoid.view(np.int64), sigmoid_ref.view(np.int64))
 
 
 def test_log_softmax_rows(rng):

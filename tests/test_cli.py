@@ -878,9 +878,18 @@ def _path_run(command, dest, workspace, trained, tmp_path):
 @pytest.mark.parametrize("command,dest", [
     (command, dest) for command in PATH_KINDS for dest in PATH_KINDS[command]])
 def test_unusable_path_keeps_the_exit_contract(workspace, trained, tmp_path,
-                                               capsys, command, dest, case):
+                                               capsys, monkeypatch, command,
+                                               dest, case):
     """Each path argument given a path it cannot use exits 2 (1 for
-    --config) with one stderr line naming the path."""
+    --config) with one stderr line naming the path, before any surface is
+    generated or any forward pass runs."""
+    work = []
+    for owner, name in ((surface, "generate_surface"),
+                        (FitnessModel, "forward_logits")):
+        def counted(*a, _real=getattr(owner, name), _name=name, **kw):
+            work.append(_name)
+            return _real(*a, **kw)
+        monkeypatch.setattr(owner, name, counted)
     paths, extra = _path_run(command, dest, workspace, trained, tmp_path)
     bad = paths[dest] = _bad_path(PATH_KINDS[command][dest], case, tmp_path)
     argv = [command]
@@ -891,7 +900,8 @@ def test_unusable_path_keeps_the_exit_contract(workspace, trained, tmp_path,
     err = capsys.readouterr().err
     assert code == (1 if dest == "config" else 2), err
     assert len(err.splitlines()) == 1 and str(bad) in err, err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "variant" not in err
+    assert work == [], err
 
 
 # ---------------------------------------------------------------------------

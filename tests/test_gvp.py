@@ -9,13 +9,15 @@ from conftest import make_coil_protein, random_rotation
 from protfit import autodiff as ad
 from protfit.autodiff import Parameter, Tensor
 from protfit.errors import DataError
-from protfit.geometry import (RbfConfig, build_knn_graph, build_radius_graph,
-                              cross_knn, rbf_expand)
-from protfit.gvp import (Corruption, FitnessModel, GvpParams, GvpState,
+from protfit import gvp
+from protfit.geometry import (RbfConfig, _finalize_graph, build_knn_graph,
+                              build_radius_graph, cross_knn, rbf_expand)
+from protfit.gvp import (Corruption, FitnessModel, GvpBlock, GvpParams, GvpState,
                          ModelConfig, MODES, _channel_mix, _layer_norm_scalar,
-                         _rescale_vector, _window_mean, fuse_residue_surface,
-                         gvp_apply, load_checkpoint, receptive_sets,
-                         run_message_passing, save_checkpoint, surface_init)
+                         _message_step, _rescale_vector, _window_mean,
+                         fuse_residue_surface, gvp_apply, load_checkpoint,
+                         receptive_sets, run_message_passing, save_checkpoint,
+                         surface_init)
 from protfit.io import ResidueEmbeddings, mask_context_tag
 from protfit.surface import SurfaceConfig, SurfacePointCloud, generate_surface, surface_features
 from test_autodiff import check
@@ -229,6 +231,166 @@ def test_two_node_block_matches_hand_evaluation(rng):
     v_hand = v_hand + fv
     assert np.abs(out.scalar.data - s_hand).max() < 1e-12
     assert np.abs(out.vector.data - v_hand).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# fused message step
+# ---------------------------------------------------------------------------
+
+# (node count, (src, dst) edges, output rows) per case; the step runs with
+# _MESSAGE_CHUNK = 3, so longer edge lists cross chunk boundaries
+STEP_CASES = {
+    "repeats-and-unused-rows": (7, [(0, 1), (2, 1), (2, 4), (0, 4), (5, 4), (2, 5),
+                                    (4, 0), (0, 6)], None),
+    "one-row-repeated": (5, [(4, 0), (4, 1), (4, 2), (4, 3)], None),
+    "empty": (4, [], None),
+    "one-edge": (4, [(3, 1)], None),
+    "chunk-boundaries": (8, [(s, d) for d in range(8) for s in range(8)
+                             if 0 < (s - d) % 8 <= 1 + d % 3], [0, 2, 3, 5, 7]),
+    "in-degree-over-chunk": (9, [(s, 4) for s in range(9) if s != 4]
+                             + [(4, 0), (4, 8)], [0, 4, 8]),
+}
+
+
+def _step_case(rng, name, n_rbf=3):
+    """(graph, step arguments) of a STEP_CASES entry over random points,
+    with every node an input row."""
+    n, pairs, rows_out = STEP_CASES[name]
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    graph = _finalize_graph(rng.standard_normal((n, 3)) * 3, pairs[:, 0],
+                            pairs[:, 1], RbfConfig(n_kernels=n_rbf))
+    rows_out = np.arange(n) if rows_out is None else np.array(rows_out)
+    edges = np.flatnonzero(np.isin(graph.dst, rows_out))
+    return graph, (edges, graph.src[edges],
+                   np.searchsorted(rows_out, graph.dst[edges]), rows_out)
+
+
+def _step_oracle(p, scalar, vector, graph, edges, src, dst, keep):
+    """The message half of a block as it ran before the fused step: the
+    message GVP on gathered edge rows, then sorted-segment means."""
+    s, v = ad.gather(scalar, keep), ad.gather(vector, keep)
+    if not len(edges):
+        return s, v
+    inv_deg = 1.0 / np.maximum(np.bincount(dst, minlength=len(keep)), 1)
+    msg_s, msg_v = gvp_apply(p, [ad.gather(scalar, src), Tensor(graph.edge_scalar[edges])],
+                             [ad.gather(vector, src), Tensor(graph.edge_vec[edges, :, None])])
+    return (s + ad.segment_sum(msg_s, dst, len(keep)) * inv_deg[:, None],
+            v + ad.segment_sum(msg_v, dst, len(keep)) * inv_deg[:, None, None])
+
+
+def _step_parts(packed, d, dv):
+    return ad.columns(packed, 0, (d,)), ad.columns(packed, d, (3, dv))
+
+
+def _step_setup(rng, name, d=4, dv=2):
+    graph, args = _step_case(rng, name)
+    n = graph.n_nodes
+    p = random_gvp(rng, d + 3, dv + 1, d, dv)
+    state = (Parameter(rng.standard_normal((n, d))),
+             Parameter(rng.standard_normal((n, 3, dv))))
+    weights = (Tensor(rng.standard_normal((len(args[3]), d))),
+               Tensor(rng.standard_normal((len(args[3]), 3, dv))))
+    return graph, args, p, state, weights
+
+
+def _weighted(parts, weights):
+    return ad.tsum(parts[0] * weights[0]) + ad.tsum(parts[1] * weights[1])
+
+
+@pytest.mark.parametrize("name", STEP_CASES)
+def test_message_step_matches_gather_first_oracle(rng, monkeypatch, name):
+    """Rows and every gradient equal the gathered-edge message GVP's up to
+    rounding."""
+    monkeypatch.setattr(gvp, "_MESSAGE_CHUNK", 3)
+    graph, args, p, state, weights = _step_setup(rng, name)
+    got = _step_parts(_message_step(p, *state, graph, *args), 4, 2)
+    want = _step_oracle(p, *state, graph, *args)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g.data - w.data).max(initial=0) < 1e-13
+    leaves = [*state, *vars(p).values()]
+    grads = []
+    for out in (got, want):
+        for t in leaves:
+            t.grad = None
+        _weighted(out, weights).backward()
+        grads.append([np.zeros_like(t.data) if t.grad is None else t.grad for t in leaves])
+    for g, w in zip(*grads):
+        assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), 1e-300)
+
+
+@pytest.mark.parametrize("name", STEP_CASES)
+def test_message_step_gradients(rng, monkeypatch, name):
+    """Finite differences of every input of the step: state rows (used,
+    unused and isolated ones) and all six weights."""
+    monkeypatch.setattr(gvp, "_MESSAGE_CHUNK", 3)
+    graph, args, p, state, weights = _step_setup(rng, name)
+    check(lambda: _weighted(_step_parts(_message_step(p, *state, graph, *args), 4, 2),
+                            weights), [*state, *vars(p).values()])
+
+
+def test_message_step_rows_do_not_depend_on_chunk_size(rng, monkeypatch):
+    """Every output row sums its messages in (dst, src) order whatever the
+    chunk size; only BLAS may round a product row differently for another
+    row count."""
+    coords = rng.uniform(0, 12, (120, 3))
+    graph = build_knn_graph(coords, 9, rbf=RbfConfig(n_kernels=3))
+    rows_out = np.sort(rng.choice(120, 70, replace=False))
+    edges = np.flatnonzero(np.isin(graph.dst, rows_out))
+    args = (edges, graph.src[edges], np.searchsorted(rows_out, graph.dst[edges]), rows_out)
+    p = random_gvp(rng, 7, 3, 4, 2)
+    state = (Parameter(rng.standard_normal((120, 4))),
+             Parameter(rng.standard_normal((120, 3, 2))))
+    weights = (Tensor(rng.standard_normal((70, 4))),
+               Tensor(rng.standard_normal((70, 3, 2))))
+    leaves = [*state, *vars(p).values()]
+    runs = []
+    for size in (1, 7, 64, 512, 10**6):
+        monkeypatch.setattr(gvp, "_MESSAGE_CHUNK", size)
+        for t in leaves:
+            t.grad = None
+        packed = _message_step(p, *state, graph, *args)
+        _weighted(_step_parts(packed, 4, 2), weights).backward()
+        runs.append((packed.data, [t.grad for t in leaves]))
+    (rows0, grads0), rest = runs[0], runs[1:]
+    for rows, grads in rest:
+        assert np.abs(rows - rows0).max() <= 1e-14 * np.abs(rows0).max()
+        for g, g0 in zip(grads, grads0):
+            assert np.abs(g - g0).max() <= 1e-13 * np.abs(g0).max()
+
+
+def _tape_nodes(tensor):
+    seen, stack = {id(tensor): tensor}, [tensor]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+def test_message_step_is_one_tape_node(rng, monkeypatch):
+    """A block's message step records one op, whose parents are the state
+    and the message weights, and the block's tape has the same size for
+    no edges, one edge, many edges and an in-degree above the chunk size."""
+    monkeypatch.setattr(gvp, "_MESSAGE_CHUNK", 3)
+    block = GvpBlock(message=random_gvp(rng, 4 + 3, 2 + 1, 4, 2),
+                     feedforward=random_gvp(rng, 4, 2, 4, 2))
+    sizes = set()
+    for name in ("empty", "one-edge", "repeats-and-unused-rows", "in-degree-over-chunk"):
+        graph, (_, _, _, rows_out) = _step_case(rng, name)
+        state = GvpState(Parameter(rng.standard_normal((graph.n_nodes, 4))),
+                         Parameter(rng.standard_normal((graph.n_nodes, 3, 2))))
+        sets = receptive_sets(graph, rows_out, 1)
+        part = GvpState(ad.gather(state.scalar, sets[0]), ad.gather(state.vector, sets[0]))
+        out = run_message_passing([block], graph, part, True, sets)
+        nodes = _tape_nodes(ad.tsum(out.scalar) + ad.tsum(out.vector))
+        joint = [t for t in nodes if callable(t._backward)]
+        assert len(joint) == 1
+        assert joint[0]._parents == (part.scalar, part.vector,
+                                     *vars(block.message).values())
+        sizes.add(len(nodes))
+    assert len(sizes) == 1
 
 
 # ---------------------------------------------------------------------------
