@@ -2,11 +2,11 @@
 
 Commands: ``surface``, ``pretrain``, ``score``, ``eval``, ``embed-pack``.
 Options resolve in layers (built-in defaults, then a JSON config file,
-then explicit flags); every output file embeds the resolved config and
-its hash, and runs are deterministic given (inputs, config, seed). A flag
-that sets a field of ``SurfaceConfig``, ``ModelConfig`` or ``TrainConfig``
-defaults to that field's default; the flag is named after the field
-unless ``_RENAMED`` maps it.
+then explicit flags); every output file embeds the resolved config, its
+hash and the BLAS thread cap, and runs are deterministic given (inputs,
+config, seed, thread cap). A flag that sets a field of ``SurfaceConfig``,
+``ModelConfig`` or ``TrainConfig`` defaults to that field's default; the
+flag is named after the field unless ``_RENAMED`` maps it.
 
 Exit codes: 0 success, 1 usage or configuration error (an unreadable
 ``--config`` file too), 2 data error (any other path that cannot be read
@@ -251,8 +251,11 @@ def _hash_config(resolved: dict) -> str:
 
 
 def _header_lines(resolved: dict) -> list:
+    # ``main`` has written --threads into the BLAS variables unless it is 0
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     return [f"config={json.dumps(resolved, sort_keys=True)}",
-            f"config_hash={_hash_config(resolved)}"]
+            f"config_hash={_hash_config(resolved)}",
+            f"blas_threads={threads}"]
 
 
 def _config(cls, resolved: dict):
@@ -271,7 +274,7 @@ def _config(cls, resolved: dict):
 def _output_file(path) -> None:
     """A DataError unless ``path`` can name a file to write: not a
     directory, and inside one. Commands check their outputs this way
-    before any surface or model work."""
+    before any surface, model or metric work."""
     path = Path(path)
     if path.is_dir():
         raise DataError(f"cannot write {path}: Is a directory")
@@ -413,23 +416,27 @@ def cmd_eval(args) -> int:
         raise UsageError("--scores-b must pair with --assay one to one")
     if resolved["bootstrap"] and not args.scores_b:
         raise UsageError("--bootstrap compares two models and needs --scores-b")
-
-    results = []
-    group_cells = {}
-    spear_a, spear_b = [], []
+    _output_file(args.out)
+    loaded = []   # every input is read before any metric is computed
     for i, (scores_path, assay_path) in enumerate(zip(args.scores, args.assay)):
         assay = load_assay(assay_path)
         vec = _assay_scores(scores_path, assay)
+        vec_b = _assay_scores(args.scores_b[i], assay) if args.scores_b else None
+        keys = None
+        if resolved["group_by"] == "depth":
+            keys = [str(_variant_depth(v.mutant)) for v in assay.variants]
+        elif resolved["group_by"]:
+            keys = _assay_column(assay_path, resolved["group_by"])
+        loaded.append((assay, vec, vec_b, keys))
+    results = []
+    group_cells = {}
+    spear_a, spear_b = [], []
+    for assay, vec, vec_b, keys in loaded:
         results.append(evaluate_assay(assay.protein_id, vec, assay))
-        if args.scores_b:
+        if vec_b is not None:
             spear_a.append(results[-1].spearman)
-            spear_b.append(spearman(_assay_scores(args.scores_b[i], assay),
-                                    assay.scores()))
-        if resolved["group_by"]:
-            if resolved["group_by"] == "depth":
-                keys = [str(_variant_depth(v.mutant)) for v in assay.variants]
-            else:
-                keys = _assay_column(assay_path, resolved["group_by"])
+            spear_b.append(spearman(vec_b, assay.scores()))
+        if keys is not None:
             for key in sorted(set(keys)):
                 pick = np.array([k == key for k in keys])
                 if pick.sum() < 2:
@@ -470,6 +477,7 @@ def cmd_embed_pack(args) -> int:
     import numpy as np
 
     from .io import read_text_lines, save_embeddings
+    _output_file(args.out)
     path = Path(args.matrix)
     lines = read_text_lines(path)
     if not any(line.split("#", 1)[0].strip() for line in lines):

@@ -14,7 +14,8 @@ Only the masked residues' rows are ever needed, so each stack runs on
 their receptive field alone: ``receptive_sets`` walks the graph back
 from the wanted rows, one in-neighbor hop per layer, and
 ``run_message_passing`` computes at each layer only the rows the next
-layer reads, on the true edges of those rows.
+layer reads, on the true edges of those rows. On the surface cloud the
+walk (``knn_receptive_field``) queries kNN rows only for the rows it reaches.
 
 The message half of each block is one autodiff op (``_message_step``):
 it multiplies node rows by the message GVP's node weights once, runs the
@@ -41,7 +42,8 @@ from . import EMBEDDERS, MODES
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import DataError
-from .geometry import RbfConfig, SpatialGraph, build_knn_graph, build_radius_graph, cross_knn
+from .geometry import (RbfConfig, SpatialGraph, build_radius_graph, cross_knn,
+                       knn_receptive_field)
 from .io import (N_RESIDUE_TYPES, Protein, ResidueEmbeddings, mask_context_tag,
                  read_file)
 from .surface import N_FEATURES, SurfacePointCloud
@@ -601,7 +603,8 @@ class FitnessModel:
         stack on the masked residues' L-hop radius-graph neighbourhood, and
         the surface stack on the L-hop kNN neighbourhood of the surface
         points fused into the masked residues, with ``surface_init`` and its
-        residue lookup on the widest of those point sets only. The rows
+        residue lookup on the widest of those point sets only; surface kNN
+        rows are queried only for the points that walk reaches. The rows
         equal those of a whole-graph pass up to rounding, and training
         takes the same path."""
         cfg = self.config
@@ -640,9 +643,9 @@ class FitnessModel:
                     f"surface init needs >= {cfg.init_neighbors} residues")
             k_fuse = min(cfg.fuse_neighbors, cloud.n_points)
             fuse_idx, _ = cross_knn(protein.ca_coords[masked], cloud.points, k_fuse)
-            sgraph = build_knn_graph(cloud.points, cfg.surface_knn, rbf=cfg.rbf)
-            sets = receptive_sets(sgraph, fuse_idx.reshape(-1),
-                                  len(self.surface_blocks))
+            sgraph, sets = knn_receptive_field(
+                cloud.points, fuse_idx.reshape(-1), cfg.surface_knn,
+                len(self.surface_blocks), rbf=cfg.rbf)
             nn_idx, nn_dist = cross_knn(cloud.points[sets[0]], protein.ca_coords,
                                         cfg.init_neighbors)
             h_surf0 = surface_init(self.params, h0_scalar,

@@ -15,8 +15,7 @@ while its group is scored, so memory does not grow with the number of
 sets. Each pass computes only the masked rows,
 running both GVP stacks on their receptive field (see
 ``FitnessModel.forward_logits``): its message passing grows with the
-sites' neighbourhoods, not with the protein and its cloud, though the
-surface kNN graph is still built over the whole excised cloud. Scoring
+sites' neighbourhoods, not with the protein and its cloud. Scoring
 never calls ``backward``, so passes run under ``autodiff.no_grad`` and
 build no tape. Non-finite log-probabilities raise NumericsError when the
 pass returns them.

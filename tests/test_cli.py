@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from protfit import cli, surface
+from protfit import cli, io, metrics, surface
 from protfit.corpus import make_motif_corpus, make_synthetic_variants
 from protfit.errors import NumericsError
 from protfit.gvp import (FitnessModel, ModelConfig, load_checkpoint,
@@ -249,6 +249,53 @@ def test_default_thread_cap_outputs_do_not_depend_on_blas_env(tmp_path):
                                      "loss_log.csv", "scores.csv")})
     for name, data in written[0].items():
         assert written[1][name] == data, name
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _header_run(command, workspace, trained, out):
+    """Arguments of a small run of ``command`` and the file whose header
+    it writes, both under ``out``."""
+    root, _, variants = workspace
+    structure = root / "corpus" / "motif000.tsv"
+    if command == "surface":
+        return ["surface", structure, "--out", out / "c.tsv", *SURFACE_FLAGS], out / "c.tsv"
+    if command == "pretrain":
+        return (["pretrain", root / "corpus", "--out-dir", out, "--epochs", "0",
+                 *MODEL_FLAGS, *SURFACE_FLAGS], out / "loss_log.csv")
+    if command == "score":
+        return (["score", trained, structure, root / "assay.csv", "--out",
+                 out / "s.csv", *SURFACE_FLAGS], out / "s.csv")
+    _write_scores(out / "scores.csv", [("WT", 0.0)] + [
+        (v, 1.0 + i) for i, v in enumerate(variants)])
+    return (["eval", "--scores", out / "scores.csv", "--assay", root / "assay.csv",
+             "--out", out / "r.csv"], out / "r.csv")
+
+
+@pytest.mark.parametrize("command", ["surface", "pretrain", "score", "eval"])
+def test_outputs_record_the_blas_thread_cap(workspace, trained, tmp_path,
+                                            monkeypatch, command):
+    """Every output header names the BLAS thread cap the run had: the
+    --threads value, or with --threads 0 the environment's (or "unset").
+    The config and its hash do not include it."""
+    cases = [([], None, "1"), (["--threads", "2"], None, "2"),
+             (["--threads", "0"], "3", "3"), (["--threads", "0"], None, "unset")]
+    hashes = set()
+    for i, (flags, env, want) in enumerate(cases):
+        for var in THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        if env is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", env)
+        out = tmp_path / str(i)
+        out.mkdir()
+        argv, written = _header_run(command, workspace, trained, out)
+        assert cli.main([str(a) for a in argv + flags]) == 0
+        header = [line for line in written.read_text().splitlines()
+                  if line.startswith("# ")]
+        assert f"# blas_threads={want}" in header
+        hashes.update(line for line in header if line.startswith("# config_hash="))
+    assert len(hashes) == 1
 
 
 def test_pretrain_divergence_exits_3(workspace, tmp_path):
@@ -882,10 +929,13 @@ def test_unusable_path_keeps_the_exit_contract(workspace, trained, tmp_path,
                                                dest, case):
     """Each path argument given a path it cannot use exits 2 (1 for
     --config) with one stderr line naming the path, before any surface is
-    generated or any forward pass runs."""
+    generated, any forward pass runs, any assay is evaluated or any
+    embedding file is written."""
     work = []
     for owner, name in ((surface, "generate_surface"),
-                        (FitnessModel, "forward_logits")):
+                        (FitnessModel, "forward_logits"),
+                        (metrics, "evaluate_assay"),
+                        (io, "save_embeddings")):
         def counted(*a, _real=getattr(owner, name), _name=name, **kw):
             work.append(_name)
             return _real(*a, **kw)

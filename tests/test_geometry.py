@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rotation
+from protfit import geometry
 from protfit.errors import DataError
 from protfit.geometry import (RbfConfig, build_knn_graph, build_radius_graph,
-                              cross_knn, nearest_others, rbf_expand)
+                              cross_knn, knn_receptive_field, nearest_others,
+                              rbf_expand)
+from protfit.gvp import receptive_sets
 
 
 def edge_set(graph):
@@ -198,9 +201,88 @@ def test_nearest_others_matches_brute_force(rng, copies):
         assert np.array_equal(dist, np.linalg.norm(pts[idx] - pts[:, None], axis=2))
 
 
+@pytest.mark.parametrize("copies", [0, 3, 30])
+def test_nearest_others_on_a_subset_table(rng, copies):
+    """A table queried for some points, in any order, gives those points'
+    rows of the whole table, crowded-out copies included."""
+    base = rng.integers(0, 5, (120, 3)).astype(float)
+    pts = np.concatenate([base, np.repeat(base[:1], copies, axis=0)])
+    ids = np.concatenate([rng.choice(120, 40, replace=False),
+                          np.arange(120, len(pts))[::-1]])
+    for k in (1, 4, 16):
+        whole_idx, whole_dist = nearest_others(*cross_knn(pts, pts, k + 1))
+        idx, dist = nearest_others(*cross_knn(pts[ids], pts, k + 1), ids)
+        assert np.array_equal(idx, whole_idx[ids])
+        assert np.array_equal(dist, whole_dist[ids])
+
+
 def test_cross_knn_rejects_too_few_refs():
     with pytest.raises(DataError):
         cross_knn(np.zeros((1, 3)), np.zeros((2, 3)), 3)
+
+
+# ---------------------------------------------------------------------------
+# kNN receptive field
+# ---------------------------------------------------------------------------
+
+def _walk_cloud(rng, kind):
+    if kind == "uniform":
+        return rng.uniform(0, 20, (150, 3))
+    if kind == "tiny":
+        return rng.uniform(0, 5, (7, 3))
+    base = rng.integers(0, 5, (150, 3)).astype(float)
+    if kind == "lattice":   # 125 cells for 150 points: exact ties and copies
+        return base
+    # 30 copies of one point: most are crowded out of their own rows
+    return np.concatenate([base[:90], np.repeat(base[:1], 30, axis=0), base[90:]])
+
+
+@pytest.mark.parametrize("kind", ["uniform", "lattice", "crowded", "tiny"])
+def test_receptive_field_walk_equals_whole_graph(rng, kind):
+    """The on-demand walk gives the whole kNN graph's edges into S_1, in
+    the same order with the same features, and the same receptive sets,
+    bit for bit, for every k (k >= n - 1 too), depth and output set."""
+    pts = _walk_cloud(rng, kind)
+    n = len(pts)
+    rbf = RbfConfig(n_kernels=6, max_d=8.0)
+    for k in (1, 5, 16, n - 1, n + 3):
+        whole = build_knn_graph(pts, k, rbf=rbf)
+        for out in ([], [0], rng.choice(n, min(n, 4), replace=False),
+                    [n - 1, n - 1, 3]):
+            for n_layers in range(7):
+                want_sets = receptive_sets(whole, out, n_layers)
+                graph, sets = knn_receptive_field(pts, out, k, n_layers, rbf=rbf)
+                assert len(sets) == len(want_sets) == n_layers + 1
+                for got, want in zip(sets, want_sets):
+                    assert np.array_equal(got, want)
+                into = np.isin(whole.dst, want_sets[1] if n_layers else [])
+                assert graph.n_nodes == n
+                for name in ("src", "dst", "edge_vec", "edge_scalar"):
+                    got, want = getattr(graph, name), getattr(whole, name)[into]
+                    assert got.shape == want.shape and np.array_equal(got, want), name
+
+
+def test_receptive_field_walk_queries_the_rows_of_s1_only(rng, monkeypatch):
+    pts = rng.uniform(0, 20, (300, 3))
+    queried = []
+    real = geometry._knn
+
+    def counted(queries, tree, k):
+        queried.append(len(queries))
+        return real(queries, tree, k)
+
+    monkeypatch.setattr(geometry, "_knn", counted)
+    _, sets = knn_receptive_field(pts, [0, 1], 8, 3)
+    assert sum(queried) == len(sets[1]) < len(pts)
+
+
+def test_receptive_field_walk_rejects_bad_input():
+    with pytest.raises(DataError, match="at least 2 points"):
+        knn_receptive_field(np.zeros((1, 3)), [0], 4, 2)
+    with pytest.raises(DataError, match="non-finite"):
+        knn_receptive_field(np.array([[0.0, 0, 0], [np.nan, 0, 0]]), [0], 1, 1)
+    with pytest.raises(DataError, match="out of range"):
+        knn_receptive_field(np.eye(3), [3], 1, 1)
 
 
 # ---------------------------------------------------------------------------

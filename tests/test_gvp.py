@@ -19,7 +19,8 @@ from protfit.gvp import (Corruption, FitnessModel, GvpBlock, GvpParams, GvpState
                          receptive_sets, run_message_passing, save_checkpoint,
                          surface_init)
 from protfit.io import ResidueEmbeddings, mask_context_tag
-from protfit.surface import SurfaceConfig, SurfacePointCloud, generate_surface, surface_features
+from protfit.surface import (SurfaceConfig, SurfacePointCloud, excise_near_residue,
+                             generate_surface, surface_features)
 from test_autodiff import check
 
 SMALL_MODEL = dict(scalar_dim=10, vector_dim=3, structure_layers=2,
@@ -855,6 +856,36 @@ def test_forward_and_gradients_match_full_graph_oracle(rf_setup, mode, masked):
     for name, g in want_grads.items():
         scale = max(np.abs(g).max(), 1e-300)
         assert np.abs(got_grads[name] - g).max() <= 1e-12 * scale, name
+
+
+def _whole_graph_field(coords, out_nodes, k, n_layers, rbf=None):
+    """The surface graph and sets as built before the on-demand walk: the
+    whole cloud's kNN graph, then its receptive sets."""
+    graph = build_knn_graph(coords, k, rbf=rbf)
+    return graph, receptive_sets(graph, out_nodes, n_layers)
+
+
+@pytest.mark.parametrize("mode", ["s3f", "surf_only"])
+@pytest.mark.parametrize("masked", [[7], [3, 20, 36]])
+def test_surface_walk_is_bit_identical_to_whole_graph_sets(rf_setup, monkeypatch,
+                                                           mode, masked):
+    """On an excised cloud, the pass through the on-demand kNN walk gives
+    exactly the log-probs and parameter gradients of the pass through the
+    whole-cloud kNN graph and its receptive sets."""
+    protein, cloud = rf_setup
+    cloud, _ = excise_near_residue(cloud, protein.ca_coords[masked], 20)
+    model = small_model(mode="s3f", seed=23, head_init=1.0)
+    weights = np.random.default_rng(5).standard_normal((len(masked), 20))
+    runs = []
+    for field in (gvp.knn_receptive_field, _whole_graph_field):
+        monkeypatch.setattr(gvp, "knn_receptive_field", field)
+        log_probs = model.forward_logits(protein, masked, mode=mode, cloud=cloud)
+        runs.append((log_probs.data, _grads(model, log_probs, weights)))
+    (got, got_grads), (want, want_grads) = runs
+    assert np.array_equal(got, want)
+    assert got_grads.keys() == want_grads.keys()
+    for name, g in want_grads.items():
+        assert np.array_equal(got_grads[name], g), name
 
 
 @pytest.mark.parametrize("mode", MODES)
