@@ -4,7 +4,7 @@ Everything runs in float64. An op computes its output array and hands
 ``_make(data, parents, vjps)`` one vector-Jacobian product per parent:
 ``vjps[i]`` maps the gradient of the output to the gradient of
 ``parents[i]``, already reduced to that parent's shape. An op whose
-parents' gradients share one costly pass (the fused GVP message step in
+parents' gradients share one costly pass (the fused GVP block step in
 ``gvp``) hands one joint VJP instead, which returns every parent's
 gradient at once. The output keeps its parents in ``_parents`` and the
 VJPs in ``_backward``. ``Tensor.backward`` topologically sorts the tape
@@ -16,12 +16,12 @@ dropping a gradient. Inside ``no_grad()`` ops record neither, so
 inference builds no tape.
 
 Only the ops the network needs are implemented: elementwise arithmetic
-with broadcasting, affine maps of split row blocks (``linear_split``,
-which also mixes vector channels), 2-D transpose, reshape and column
-views, row gather and substitution, sorted-segment sums, reductions, and
-the usual nonlinearities (whose array forms ``relu_data`` and
-``sigmoid_data`` the fused message step shares). All reductions use
-fixed summation orders, so repeated runs are bit-identical.
+with broadcasting, affine maps of split row blocks (``linear_split``),
+2-D transpose, reshape and column views, row gather and substitution,
+sorted-segment sums, reductions, and the usual nonlinearities (whose
+array forms ``relu_data`` and ``sigmoid_data`` the fused GVP block step
+shares, writing in place). All reductions use fixed summation orders, so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def _keep_freed_heap() -> None:
     or surface.
 
     Each forward pass, backward pass and surface allocates and frees
-    temporaries of up to a few MB: the fused message step holds one chunk
+    temporaries of up to a few MB: the fused block step holds one chunk
     of edge rows plus node-level arrays, and a pretrain step frees its
     whole tape when it ends. When freed memory ends the heap, glibc
     returns it to the OS, and the next pass page-faults it back in.
@@ -407,18 +407,25 @@ def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
     return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def relu_data(x: np.ndarray) -> np.ndarray:
+def relu_data(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """max(x, 0) with +0.0 for every x that is not > 0 (NaN and -0.0
-    included)."""
-    return np.fmax(x, 0.0) + 0.0
+    included), written to ``out`` (which may be ``x``) if given."""
+    out = np.fmax(x, 0.0, out=np.empty_like(x) if out is None else out)
+    out += 0.0
+    return out
 
 
-def sigmoid_data(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) in a form that overflows for no x. exp takes
-    min(x, -x) rather than -|x|, which would flip the sign of a NaN."""
-    e = np.exp(np.minimum(x, -x))
+def sigmoid_data(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """1 / (1 + exp(-x)) in a form that overflows for no x, written to
+    ``out`` (which may be ``x``) if given. exp takes min(x, -x) rather
+    than -|x|, which would flip the sign of a NaN."""
+    pos = x >= 0
+    e = np.minimum(x, -x, out=np.empty_like(x) if out is None else out)
+    np.exp(e, out=e)
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    np.copyto(e, 1.0, where=pos)
+    e /= d
+    return e
 
 
 def relu(x) -> Tensor:

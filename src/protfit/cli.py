@@ -18,7 +18,8 @@ too): the command functions import it only after ``main`` has written
 which BLAS reads once, when it loads. The cap defaults to one thread,
 over whatever the environment sets: OpenBLAS splits long matrix products
 across threads, which changes their rounding, so only a fixed count keeps
-outputs bit-reproducible. ``--threads 0`` leaves the environment alone.
+outputs bit-reproducible. ``--threads 0`` leaves the environment alone,
+and ``main`` restores the three variables when it returns.
 """
 
 from __future__ import annotations
@@ -496,6 +497,8 @@ def cmd_embed_pack(args) -> int:
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
+    saved = {var: os.environ.get(var) for var in
+             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -504,8 +507,7 @@ def main(argv=None) -> int:
             return 1
         threads = getattr(args, "threads", None)
         if threads:
-            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                        "MKL_NUM_THREADS"):
+            for var in saved:
                 os.environ[var] = str(threads)
         return args.func(args)
     except UsageError as exc:
@@ -517,6 +519,12 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 if __name__ == "__main__":

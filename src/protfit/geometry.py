@@ -53,8 +53,10 @@ def rbf_expand(d, cfg: RbfConfig = None) -> np.ndarray:
     """Expand distances into Gaussian kernel responses, one per center."""
     if cfg is None:
         cfg = RbfConfig()
-    d = np.asarray(d, dtype=np.float64)
-    return np.exp(-cfg.gamma * (d[..., None] - cfg.centers) ** 2)
+    x = np.asarray(d, dtype=np.float64)[..., None] - cfg.centers
+    np.square(x, out=x)
+    x *= -cfg.gamma
+    return np.exp(x, out=x)
 
 
 @dataclass(frozen=True)

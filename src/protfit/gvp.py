@@ -17,13 +17,15 @@ from the wanted rows, one in-neighbor hop per layer, and
 layer reads, on the true edges of those rows. On the surface cloud the
 walk (``knn_receptive_field``) queries kNN rows only for the rows it reaches.
 
-The message half of each block is one autodiff op (``_message_step``):
-it multiplies node rows by the message GVP's node weights once, runs the
-GVP over the edges in chunks that end where the destination changes, and
-sums each chunk onto its destination rows, so only node-level inputs and
-outputs and one chunk of edge rows are alive at a time. Its backward
-pass recomputes each chunk and applies the GVP's hand-derived
-vector-Jacobian product, one loop for all eight parents.
+Each block is one autodiff op (``_block_step``): it multiplies node rows
+by the message GVP's node weights once, runs the message GVP over the
+edges in chunks that end where the destination changes, sums each chunk
+onto its destination rows, and then runs the feedforward GVP, residual
+adds and norms on the node rows, so only node-level state and one chunk
+of edge rows are alive at a time. Edge chunks and node rows share one
+numpy GVP rule (``_gvp_core``) and its hand-derived vector-Jacobian
+product; the backward pass recomputes each chunk, one loop for all
+fourteen parents of the block.
 
 Residue embeddings come either from S3FE files (frozen upstream model)
 or from a small trainable embedder: a 21-row type table (row 20 is the
@@ -163,50 +165,51 @@ class ModelConfig:
 # layers
 # ---------------------------------------------------------------------------
 
-def _channel_mix(w, vectors: list) -> Tensor:
-    """(o, c) weights applied to the channels of (n, 3, c) vector parts,
-    taken as one channel-axis concat. x, y and z rows all go through the
-    same map, which keeps it rotation-equivariant."""
-    rows = [ad.reshape(v, (3 * v.shape[0], v.shape[2])) for v in vectors]
-    out = ad.linear_split(rows, ad.transpose(w))
-    return ad.reshape(out, (out.shape[0] // 3, 3, out.shape[1]))
+def _gvp_core(w: list, v_h: np.ndarray, lin: np.ndarray) -> tuple:
+    """A GVP after its input maps; ``w`` holds the arrays of its GvpParams
+    fields in order. Runs on (n, 3, d_h) mixed vectors ``v_h`` and the
+    (n, s_out) scalar map ``lin`` of the input scalars, to which the
+    channel-norm term and bias are added in place before relu. Returns
+    (norms, s, v_mu, gate): the output scalars are s and the output
+    vectors v_mu * gate."""
+    _, w_mu, w_m, b_m, w_g, b_g = w
+    sq = v_h * v_h
+    norms = sq[:, 0] + sq[:, 1]   # the order of sq.sum(axis=1)
+    norms += sq[:, 2]
+    norms += 1e-8
+    np.sqrt(norms, out=norms)
+    lin += norms @ w_m[-v_h.shape[2]:]
+    lin += b_m
+    s = ad.relu_data(lin, out=lin)
+    v_mu = (v_h.reshape(-1, v_h.shape[2]) @ w_mu.T).reshape(len(v_h), 3, len(w_mu))
+    gate = s @ w_g
+    gate += b_g
+    return norms, s, v_mu, ad.sigmoid_data(gate, out=gate)
 
 
-def gvp_apply(p: GvpParams, scalar, vector):
-    """One geometric vector perceptron on a batch of (scalar, vector) rows.
-
-    Scalar and vector inputs may each be a list of tensors, treated as a
-    feature-axis concatenation (node state plus edge features, say).
-    """
-    scalars = scalar if isinstance(scalar, list) else [scalar]
-    vectors = vector if isinstance(vector, list) else [vector]
-    v_h = _channel_mix(p.w_h, vectors)
-    norms = ad.vec_norm(v_h)
-    lin = ad.linear_split(scalars + [norms], p.w_m, p.b_m)
-    s_out = ad.relu(lin)
-    v_mu = _channel_mix(p.w_mu, [v_h])
-    gate = ad.sigmoid(ad.linear_split([s_out], p.w_g, p.b_g))
-    v_out = v_mu * ad.reshape(gate, (gate.shape[0], 1, gate.shape[1]))
-    return s_out, v_out
-
-
-def _layer_norm_scalar(s: Tensor) -> Tensor:
-    mu = ad.tmean(s, axis=1, keepdims=True)
-    centered = s - mu
-    var = ad.tmean(centered * centered, axis=1, keepdims=True)
-    return centered / ad.sqrt(var + 1e-8)
+def _gvp_core_vjp(w: list, v_h, norms, s, v_mu, gate, g_s, g_v) -> tuple:
+    """Backward of ``_gvp_core`` from the gradients of s and of v_mu *
+    gate: (g_lin, g_vh, (g_mu, g_norm, g_bm, g_g, g_bg)), where g_norm is
+    the gradient of w_m's channel-norm rows."""
+    _, w_mu, w_m, _, w_g, _ = w
+    d_h = v_h.shape[2]
+    g_z = (g_v * v_mu).sum(axis=1)
+    g_z *= gate
+    g_z *= 1.0 - gate
+    g_vmu = (g_v * gate[:, None, :]).reshape(-1, len(w_mu))
+    g_lin = g_z @ w_g.T
+    g_lin += g_s
+    g_lin *= s > 0
+    g_vh = (g_vmu @ w_mu).reshape(v_h.shape)
+    g_vh += v_h * ((g_lin @ w_m[-d_h:].T) / norms)[:, None, :]
+    return g_lin, g_vh, (g_vmu.T @ v_h.reshape(-1, d_h), norms.T @ g_lin,
+                         g_lin.sum(axis=0), s.T @ g_z, g_z.sum(axis=0))
 
 
-def _rescale_vector(v: Tensor) -> Tensor:
-    n_channels = v.shape[2]
-    fro2 = ad.tsum(v * v, axis=(1, 2), keepdims=True)
-    return v * (np.sqrt(n_channels) / ad.sqrt(fro2 + 1e-8))
-
-
-# Edge rows per chunk of the fused message step. A chunk runs on to the
-# end of its last destination's in-edges, so no output row's sum is split
-# and each keeps its (dst, src) order. Of 128 to 8192 rows, 512 was the
-# fastest on score-multi-default graphs (2-vCPU x86_64, one BLAS thread).
+# Edge rows per chunk of the block step's message GVP. A chunk runs on to
+# the end of its last destination's in-edges, so no output row's sum is
+# split and each keeps its (dst, src) order. Of 128 to 8192 rows, 512 was
+# the fastest on score-multi-default graphs (2-vCPU x86_64, one BLAS thread).
 _MESSAGE_CHUNK = 512
 
 
@@ -225,33 +228,36 @@ def _edge_chunks(dst: np.ndarray) -> list:
     return chunks
 
 
-def _message_step(p: GvpParams, scalar: Tensor, vector: Tensor,
-                  graph: SpatialGraph, edges: np.ndarray, src: np.ndarray,
-                  dst: np.ndarray, keep: np.ndarray) -> Tensor:
-    """The message half of a block as one op: rows ``keep`` of the state
-    plus the mean message GVP over each row's in-edges. The message is
-    ``gvp_apply`` of the source row's state with the edge's RBF scalars
-    and its vector x_src - x_dst appended; ``edges`` are the graph's
-    edges into the kept rows, ``src`` their source rows and ``dst`` their
-    sorted output rows. Returns the new (n_out, d + 3 * dv) scalar and
-    flattened vector rows side by side.
+def _block_step(block: GvpBlock, scalar: Tensor, vector: Tensor,
+                graph: SpatialGraph, edges: np.ndarray, src: np.ndarray,
+                dst: np.ndarray, keep: np.ndarray, normalize: bool) -> Tensor:
+    """One message-passing block as one op. Rows ``keep`` of the state get
+    the mean message GVP over their in-edges added, then the feedforward
+    GVP of the result, then (if ``normalize``) a scalar layer norm and a
+    vector rescale to norm sqrt(dv). The message is the GVP of the source
+    row's state with the edge's RBF scalars and its vector x_src - x_dst
+    appended; ``edges`` are the graph's edges into the kept rows, ``src``
+    their source rows and ``dst`` their sorted output rows. Returns the
+    new (n_out, d + 3 * dv) scalar and flattened vector rows side by side.
 
-    Node rows are multiplied by their weights once, before any edge reads
-    them. The GVP then runs chunk by chunk (``_edge_chunks``) and each
-    chunk's messages are summed onto their rows at once, so no edge-level
-    array outlives its chunk. The backward pass recomputes each chunk
-    (Chen et al., arXiv:1604.06174) and runs one loop for every parent:
-    edge gradients are folded onto source rows, in edge order within a
-    chunk, and the node-row weight gradients are taken once after it."""
+    Node rows are multiplied by the message weights once, before any edge
+    reads them. The message GVP then runs chunk by chunk (``_edge_chunks``)
+    and each chunk's messages are summed onto their rows at once, so no
+    edge-level array outlives its chunk; the node half keeps its node-level
+    arrays. One joint VJP serves all 14 parents: it undoes the node half
+    from those arrays, then recomputes each chunk (Chen et al.,
+    arXiv:1604.06174), folds its edge gradients onto source rows in edge
+    order, and takes the node-row weight gradients once after the loop."""
     S, V = scalar.data, vector.data
     n_in, d = S.shape
     dv = V.shape[2]
     n_out = len(keep)
-    w_h, w_mu, w_m, b_m, w_g, b_g = (
-        t.data for t in (p.w_h, p.w_mu, p.w_m, p.b_m, p.w_g, p.b_g))
+    wm = [t.data for t in vars(block.message).values()]
+    wf = [t.data for t in vars(block.feedforward).values()]
+    (w_h, _, w_m, *_), (f_h, _, f_m, *_) = wm, wf
     d_h = w_h.shape[0]
     n_rbf = graph.edge_scalar.shape[1]
-    w_node, w_rbf, w_norm = w_m[:d], w_m[d:d + n_rbf], w_m[d + n_rbf:]
+    w_node, w_rbf = w_m[:d], w_m[d:d + n_rbf]
     w_edge = w_h[:, dv]  # the edge vector is the last input channel
     proj_s = S @ w_node
     proj_v = (V.reshape(3 * n_in, dv) @ w_h[:, :dv].T).reshape(n_in, 3, d_h)
@@ -260,49 +266,65 @@ def _message_step(p: GvpParams, scalar: Tensor, vector: Tensor,
 
     def recompute(c):
         e, j = edges[c], src[c]
-        v_h = proj_v[j] + graph.edge_vec[e][:, :, None] * w_edge
-        norms = np.sqrt((v_h * v_h).sum(axis=1) + 1e-8)
+        v_h = proj_v[j]
+        v_h += graph.edge_vec[e][:, :, None] * w_edge
         lin = proj_s[j]
         lin += graph.edge_scalar[e] @ w_rbf
-        lin += norms @ w_norm
-        lin += b_m
-        s = ad.relu_data(lin)
-        v_mu = (v_h.reshape(-1, d_h) @ w_mu.T).reshape(len(j), 3, dv)
-        return v_h, norms, lin, s, v_mu, ad.sigmoid_data(s @ w_g + b_g)
+        return (v_h, *_gvp_core(wm, v_h, lin))
 
     msg_s, msg_v = np.zeros((n_out, d)), np.zeros((n_out, 3, dv))
     for c, starts, rows in chunks:
         *_, s, v_mu, gate = recompute(c)
         msg_s[rows] = np.add.reduceat(s, starts, axis=0)
-        msg_v[rows] = np.add.reduceat(v_mu * gate[:, None, :], starts, axis=0)
+        v_mu *= gate[:, None, :]
+        msg_v[rows] = np.add.reduceat(v_mu, starts, axis=0)
+    S1 = S[keep] + msg_s * inv_deg[:, None]
+    V1 = V[keep] + msg_v * inv_deg[:, None, None]
+    f_vh = (V1.reshape(3 * n_out, dv) @ f_h.T).reshape(n_out, 3, len(f_h))
+    ff = (f_vh, *_gvp_core(wf, f_vh, S1 @ f_m[:d]))
+    _, _, f_s, f_vmu, f_gate = ff
+    S2 = S1 + f_s
+    V2 = V1 + f_vmu * f_gate[:, None, :]
     out = np.empty((n_out, d + 3 * dv))
-    out[:, :d] = S[keep] + msg_s * inv_deg[:, None]
-    out[:, d:] = (V[keep] + msg_v * inv_deg[:, None, None]).reshape(n_out, 3 * dv)
+    S3, V3 = out[:, :d], out[:, d:].reshape(n_out, 3, dv)
+    if normalize:
+        c = S2 - S2.sum(axis=1, keepdims=True) * (1.0 / d)
+        r = np.sqrt((c * c).sum(axis=1, keepdims=True) * (1.0 / d) + 1e-8)
+        np.divide(c, r, out=S3)
+        fro2 = (V2 * V2).sum(axis=(1, 2), keepdims=True) + 1e-8
+        scale = np.sqrt(dv) / np.sqrt(fro2)
+        np.multiply(V2, scale, out=V3)
+    else:
+        S3[:], V3[:] = S2, V2
 
     def vjp(g):
         g_s, g_v = g[:, :d], g[:, d:].reshape(n_out, 3, dv)
+        if normalize:
+            dot = (g_s * S3).sum(axis=1, keepdims=True) * (1.0 / d)
+            g_s = (g_s - S3 * dot) / r
+            g_s = g_s - g_s.sum(axis=1, keepdims=True) * (1.0 / d)
+            dot = (g_v * V2).sum(axis=(1, 2), keepdims=True)
+            g_v = scale * (g_v - V2 * (dot / fro2))
+        g_lin, g_fvh, (g_fmu, g_fnorm, *g_frest) = _gvp_core_vjp(wf, *ff, g_s, g_v)
+        g_fvh = g_fvh.reshape(3 * n_out, len(f_h))
+        g_s = g_s + g_lin @ f_m[:d].T
+        g_v = g_v + (g_fvh @ f_h).reshape(n_out, 3, dv)
+        g_ff = (g_fvh.T @ V1.reshape(3 * n_out, dv), g_fmu,
+                np.concatenate([S1.T @ g_lin, g_fnorm]), *g_frest)
         g_S, g_V = np.zeros_like(S), np.zeros_like(V)
         g_S[keep], g_V[keep] = g_s, g_v
         g_s, g_v = g_s * inv_deg[:, None], g_v * inv_deg[:, None, None]
         g_proj_s, g_proj_v = np.zeros_like(proj_s), np.zeros_like(proj_v)
-        g_rbf, g_norm = np.zeros_like(w_rbf), np.zeros_like(w_norm)
-        g_mu, g_g = np.zeros_like(w_mu), np.zeros_like(w_g)
-        g_bm, g_bg, g_edge = np.zeros_like(b_m), np.zeros_like(b_g), np.zeros(d_h)
+        g_rbf, g_edge = np.zeros_like(w_rbf), np.zeros(d_h)
+        g_core = [np.zeros_like(a) for a in (wm[1], w_m[d + n_rbf:], *wm[3:])]
         for c, _, _ in chunks:
-            v_h, norms, lin, s, v_mu, gate = recompute(c)
+            v_h, *saved = recompute(c)
             e, j, out_rows = edges[c], src[c], dst[c]
-            g_out_v = g_v[out_rows]
-            g_z = (g_out_v * v_mu).sum(axis=1) * gate * (1.0 - gate)
-            g_vmu = (g_out_v * gate[:, None, :]).reshape(-1, dv)
-            g_g += s.T @ g_z
-            g_bg += g_z.sum(axis=0)
-            g_lin = (g_s[out_rows] + g_z @ w_g.T) * (lin > 0)
-            g_bm += g_lin.sum(axis=0)
+            g_lin, g_vh, grads = _gvp_core_vjp(wm, v_h, *saved, g_s[out_rows],
+                                               g_v[out_rows])
+            for acc, grad in zip(g_core, grads):
+                acc += grad
             g_rbf += graph.edge_scalar[e].T @ g_lin
-            g_norm += norms.T @ g_lin
-            g_mu += g_vmu.T @ v_h.reshape(-1, d_h)
-            g_vh = (g_vmu @ w_mu).reshape(v_h.shape)
-            g_vh += v_h * ((g_lin @ w_norm.T) / norms)[:, None, :]
             g_edge += graph.edge_vec[e].reshape(-1) @ g_vh.reshape(-1, d_h)
             order = np.argsort(j, kind="stable")
             firsts = np.flatnonzero(np.diff(j[order], prepend=-1))
@@ -314,11 +336,12 @@ def _message_step(p: GvpParams, scalar: Tensor, vector: Tensor,
         g_V += (g_pv @ w_h[:, :dv]).reshape(V.shape)
         g_wh = np.concatenate([g_pv.T @ V.reshape(3 * n_in, dv), g_edge[:, None]],
                               axis=1)
+        g_mu, g_norm, *g_rest = g_core
         g_wm = np.concatenate([S.T @ g_proj_s, g_rbf, g_norm])
-        return g_S, g_V, g_wh, g_mu, g_wm, g_bm, g_g, g_bg
+        return (g_S, g_V, g_wh, g_mu, g_wm, *g_rest, *g_ff)
 
-    return ad._make(out, (scalar, vector, p.w_h, p.w_mu, p.w_m, p.b_m, p.w_g,
-                          p.b_g), vjp)
+    return ad._make(out, (scalar, vector, *vars(block.message).values(),
+                          *vars(block.feedforward).values()), vjp)
 
 
 def receptive_sets(graph: SpatialGraph, out_nodes, n_layers: int) -> list:
@@ -354,8 +377,9 @@ def run_message_passing(blocks, graph: SpatialGraph, state: GvpState,
                         normalize: bool = True, node_sets=None) -> GvpState:
     """Residual message passing: per block, add the mean GVP message over
     in-neighbors (edge features concatenated onto the neighbor state), then
-    add a feedforward GVP of the node state. Nodes without neighbors
-    receive a zero message.
+    add a feedforward GVP of the node state, then (with ``normalize``)
+    layer-normalize the scalars and rescale each row's vectors. Nodes
+    without neighbors receive a zero message.
 
     ``node_sets`` (one more than ``blocks``, as from ``receptive_sets``)
     limits the work to the rows that are wanted: ``state`` holds the rows
@@ -368,8 +392,8 @@ def run_message_passing(blocks, graph: SpatialGraph, state: GvpState,
     a set that lacks a row of the next set or one of its in-neighbors, is
     a DataError.
 
-    The message half of each block is one op (``_message_step``) that
-    holds node-level state and one chunk of edges at a time."""
+    Each block is one op (``_block_step``) that holds node-level state
+    plus one chunk of edges at a time."""
     if node_sets is None:
         node_sets = [np.arange(graph.n_nodes)] * (len(blocks) + 1)
     if len(node_sets) != len(blocks) + 1:
@@ -385,17 +409,11 @@ def run_message_passing(blocks, graph: SpatialGraph, state: GvpState,
         into = np.zeros(graph.n_nodes, dtype=bool)
         into[rows_out] = True
         edges = np.flatnonzero(into[graph.dst])
-        packed = _message_step(block.message, scalar, vector, graph, edges,
-                               _positions(rows_in, graph.src[edges]),
-                               _positions(rows_out, graph.dst[edges]), keep)
+        packed = _block_step(block, scalar, vector, graph, edges,
+                             _positions(rows_in, graph.src[edges]),
+                             _positions(rows_out, graph.dst[edges]), keep, normalize)
         scalar = ad.columns(packed, 0, (d,))
         vector = ad.columns(packed, d, (3, dv))
-        ff_s, ff_v = gvp_apply(block.feedforward, scalar, vector)
-        scalar = scalar + ff_s
-        vector = vector + ff_v
-        if normalize:
-            scalar = _layer_norm_scalar(scalar)
-            vector = _rescale_vector(vector)
     return GvpState(scalar=scalar, vector=vector)
 
 

@@ -10,7 +10,7 @@ from protfit.autodiff import Parameter, Tensor
 from protfit.errors import DataError
 from protfit.geometry import RbfConfig, build_knn_graph
 from protfit.gvp import (FitnessModel, GvpBlock, GvpParams, GvpState, ModelConfig,
-                         _channel_mix, run_message_passing)
+                         run_message_passing)
 
 
 def numeric_grad(fn, param, h=1e-6):
@@ -67,12 +67,14 @@ def test_transpose(rng):
 
 
 def test_channel_mix(rng):
+    from test_gvp import _channel_mix  # test_gvp imports this module
     w = Parameter(rng.standard_normal((4, 3)))
     v = Parameter(rng.standard_normal((5, 3, 3)))
     check(lambda: ad.tsum(_channel_mix(w, [v]) * 0.7), [w, v])
 
 
 def test_channel_mix_split_equals_concat(rng):
+    from test_gvp import _channel_mix  # test_gvp imports this module
     w = Parameter(rng.standard_normal((4, 5)))
     v1 = Parameter(rng.standard_normal((6, 3, 2)))
     v2 = Parameter(rng.standard_normal((6, 3, 3)))
@@ -244,8 +246,18 @@ def test_relu_and_sigmoid_keep_the_reference_bit_patterns(rng):
         ex = np.exp(x[~pos])
         sigmoid_ref[~pos] = ex / (1.0 + ex)
         relu, sigmoid = ad.relu(Tensor(x)).data, ad.sigmoid(Tensor(x)).data
-    assert np.array_equal(relu.view(np.int64), relu_ref.view(np.int64))
-    assert np.array_equal(sigmoid.view(np.int64), sigmoid_ref.view(np.int64))
+        # the in-place forms the GVP block step uses, on x itself and on a
+        # separate output array
+        relu_in, sigmoid_in = x.copy(), x.copy()
+        assert ad.relu_data(relu_in, out=relu_in) is relu_in
+        assert ad.sigmoid_data(sigmoid_in, out=sigmoid_in) is sigmoid_in
+        relu_out, sigmoid_out = np.empty_like(x), np.empty_like(x)
+        ad.relu_data(x, out=relu_out)
+        ad.sigmoid_data(x, out=sigmoid_out)
+    for got in (relu, relu_in, relu_out):
+        assert np.array_equal(got.view(np.int64), relu_ref.view(np.int64))
+    for got in (sigmoid, sigmoid_in, sigmoid_out):
+        assert np.array_equal(got.view(np.int64), sigmoid_ref.view(np.int64))
 
 
 def test_log_softmax_rows(rng):

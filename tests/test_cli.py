@@ -298,6 +298,30 @@ def test_outputs_record_the_blas_thread_cap(workspace, trained, tmp_path,
     assert len(hashes) == 1
 
 
+def test_threads_flag_leaves_the_callers_environment(workspace, trained, tmp_path,
+                                                     monkeypatch):
+    """An in-process run restores the three thread variables as it found
+    them, set or unset, also when it fails, so a later --threads 0 run
+    records the caller's value rather than the earlier run's cap."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = {var: os.environ.get(var) for var in THREAD_VARS}
+    runs = [tmp_path / name for name in ("capped", "failed", "caller")]
+    for out in runs:
+        out.mkdir()
+    argv, _ = _header_run("eval", workspace, trained, runs[0])
+    assert cli.main([str(a) for a in argv + ["--threads", "2"]]) == 0
+    assert {var: os.environ.get(var) for var in THREAD_VARS} == before
+    assert cli.main(["eval", "--scores", str(runs[1] / "missing.csv"), "--assay",
+                     str(runs[1] / "missing.csv"), "--out", str(runs[1] / "r.csv"),
+                     "--threads", "2"]) == 2
+    assert {var: os.environ.get(var) for var in THREAD_VARS} == before
+    argv, written = _header_run("eval", workspace, trained, runs[2])
+    assert cli.main([str(a) for a in argv + ["--threads", "0"]]) == 0
+    assert "# blas_threads=3" in written.read_text().splitlines()
+
+
 def test_pretrain_divergence_exits_3(workspace, tmp_path):
     # unnormalized blocks + unclipped giant SGD steps overflow in a few steps
     root, _, _ = workspace

@@ -310,6 +310,21 @@ def test_rbf_reversed_centers_reverse_output():
     assert np.allclose(out, mirrored[::-1], atol=1e-12)
 
 
+@pytest.mark.parametrize("n_kernels,max_d", [(1, 20.0), (4, 6.0), (16, 20.0)])
+def test_rbf_expand_keeps_the_plain_expression_bits(rng, n_kernels, max_d):
+    """The in-place expansion gives the bits of exp(-gamma * (d - c) ** 2)
+    on random, zero, tiny, large and huge distances and on a scalar."""
+    cfg = RbfConfig(n_kernels=n_kernels, max_d=max_d)
+    d = np.concatenate([rng.uniform(0, 25, 3000), np.zeros(5), [5e-324, 1e-300],
+                        rng.uniform(25, 1e4, 300), [1e150, 1e200, 1e308]])
+    with np.errstate(over="ignore"):
+        for x in (d, d.reshape(-1, 1, 1), 3.3):
+            want = np.exp(-cfg.gamma * (np.asarray(x)[..., None] - cfg.centers) ** 2)
+            got = rbf_expand(x, cfg)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0, 45, allow_nan=False), st.integers(2, 12))
 def test_rbf_output_in_unit_interval(d, n_kernels):

@@ -13,11 +13,9 @@ from protfit import gvp
 from protfit.geometry import (RbfConfig, _finalize_graph, build_knn_graph,
                               build_radius_graph, cross_knn, rbf_expand)
 from protfit.gvp import (Corruption, FitnessModel, GvpBlock, GvpParams, GvpState,
-                         ModelConfig, MODES, _channel_mix, _layer_norm_scalar,
-                         _message_step, _rescale_vector, _window_mean,
-                         fuse_residue_surface, gvp_apply, load_checkpoint,
-                         receptive_sets, run_message_passing, save_checkpoint,
-                         surface_init)
+                         ModelConfig, MODES, _block_step, _window_mean,
+                         fuse_residue_surface, load_checkpoint, receptive_sets,
+                         run_message_passing, save_checkpoint, surface_init)
 from protfit.io import ResidueEmbeddings, mask_context_tag
 from protfit.surface import (SurfaceConfig, SurfacePointCloud, excise_near_residue,
                              generate_surface, surface_features)
@@ -51,8 +49,49 @@ def make_cloud(protein, seed=0, n_max=96):
 
 
 # ---------------------------------------------------------------------------
-# gvp_apply
+# tape-built GVP: the oracle of the block step
 # ---------------------------------------------------------------------------
+
+def _channel_mix(w, vectors: list) -> Tensor:
+    """(o, c) weights applied to the channels of (n, 3, c) vector parts,
+    taken as one channel-axis concat. x, y and z rows all go through the
+    same map, which keeps it rotation-equivariant."""
+    rows = [ad.reshape(v, (3 * v.shape[0], v.shape[2])) for v in vectors]
+    out = ad.linear_split(rows, ad.transpose(w))
+    return ad.reshape(out, (out.shape[0] // 3, 3, out.shape[1]))
+
+
+def gvp_apply(p: GvpParams, scalar, vector):
+    """One geometric vector perceptron on a batch of (scalar, vector) rows,
+    built op by op on the tape.
+
+    Scalar and vector inputs may each be a list of tensors, treated as a
+    feature-axis concatenation (node state plus edge features, say).
+    """
+    scalars = scalar if isinstance(scalar, list) else [scalar]
+    vectors = vector if isinstance(vector, list) else [vector]
+    v_h = _channel_mix(p.w_h, vectors)
+    norms = ad.vec_norm(v_h)
+    lin = ad.linear_split(scalars + [norms], p.w_m, p.b_m)
+    s_out = ad.relu(lin)
+    v_mu = _channel_mix(p.w_mu, [v_h])
+    gate = ad.sigmoid(ad.linear_split([s_out], p.w_g, p.b_g))
+    v_out = v_mu * ad.reshape(gate, (gate.shape[0], 1, gate.shape[1]))
+    return s_out, v_out
+
+
+def _layer_norm_scalar(s: Tensor) -> Tensor:
+    mu = ad.tmean(s, axis=1, keepdims=True)
+    centered = s - mu
+    var = ad.tmean(centered * centered, axis=1, keepdims=True)
+    return centered / ad.sqrt(var + 1e-8)
+
+
+def _rescale_vector(v: Tensor) -> Tensor:
+    n_channels = v.shape[2]
+    fro2 = ad.tsum(v * v, axis=(1, 2), keepdims=True)
+    return v * (np.sqrt(n_channels) / ad.sqrt(fro2 + 1e-8))
+
 
 def test_channel_mix_of_split_parts_matches_einsum_over_concat(rng):
     w = Parameter(rng.standard_normal((4, 5)))
@@ -161,17 +200,25 @@ def test_residual_identity_with_zero_weights(rng):
 
 
 def test_rescale_vector_sets_row_norm_to_sqrt_channels(rng):
-    out = _rescale_vector(Tensor(rng.standard_normal((5, 3, 7)))).data
+    graph = build_knn_graph(rng.standard_normal((5, 3)), 2, rbf=RbfConfig(n_kernels=2))
+    block = GvpBlock(message=random_gvp(rng, 4 + 2, 7 + 1, 4, 7),
+                     feedforward=random_gvp(rng, 4, 7, 4, 7))
+    state = _random_state(rng, 5, 4, 7)
+    out = run_message_passing([block], graph, state).vector.data
     assert np.abs(np.sqrt((out ** 2).sum(axis=(1, 2))) - np.sqrt(7)).max() < 1e-8
 
 
-def test_message_passing_rigid_motion(rng):
+def test_message_passing_rigid_motion(rng, monkeypatch):
+    """A rigid motion of the points, with the input vectors rotated, leaves
+    the output scalars and rotates the output vectors, also when the block
+    step runs its edges in many small chunks."""
     coords = np.random.default_rng(1).uniform(0, 8, (7, 3))
     rot = random_rotation(8)
     shift = np.array([4.0, 5.0, -6.0])
     model = small_model()
     state = _random_state(rng, 7, 10, 3)
-    for normalize in (False, True):
+    for chunk, normalize in ((3, False), (3, True), (512, False), (512, True)):
+        monkeypatch.setattr(gvp, "_MESSAGE_CHUNK", chunk)
         g1 = build_radius_graph(coords, 10.0, rbf=model.config.rbf)
         g2 = build_radius_graph(coords @ rot.T + shift, 10.0, rbf=model.config.rbf)
         rotated = GvpState(scalar=state.scalar,
@@ -283,54 +330,115 @@ def _step_parts(packed, d, dv):
     return ad.columns(packed, 0, (d,)), ad.columns(packed, d, (3, dv))
 
 
+def _zero_feedforward(d, dv):
+    shapes = dict(w_h=(dv, dv), w_mu=(dv, dv), w_m=(d + dv, d), b_m=d, w_g=(d, dv),
+                  b_g=dv)
+    return GvpParams(**{k: Tensor(np.zeros(shape)) for k, shape in shapes.items()})
+
+
+def _message_half(p, scalar, vector, graph, *args):
+    """The message half of a block: the block step with an all-zero
+    feedforward GVP and no norms, whose feedforward adds exact zeros."""
+    block = GvpBlock(p, _zero_feedforward(scalar.shape[1], vector.shape[2]))
+    return _block_step(block, scalar, vector, graph, *args, False)
+
+
+def _tape_block(block, scalar, vector, graph, args, normalize):
+    """A block as the tape ran it before the block step: the message half,
+    then the tape-built feedforward GVP, residual adds and norms."""
+    d, dv = scalar.shape[1], vector.shape[2]
+    s, v = _step_parts(_message_half(block.message, scalar, vector, graph, *args), d, dv)
+    ff_s, ff_v = gvp_apply(block.feedforward, s, v)
+    s, v = s + ff_s, v + ff_v
+    if normalize:
+        s, v = _layer_norm_scalar(s), _rescale_vector(v)
+    return s, v
+
+
 def _step_setup(rng, name, d=4, dv=2):
     graph, args = _step_case(rng, name)
     n = graph.n_nodes
-    p = random_gvp(rng, d + 3, dv + 1, d, dv)
+    block = GvpBlock(message=random_gvp(rng, d + 3, dv + 1, d, dv),
+                     feedforward=random_gvp(rng, d, dv, d, dv))
     state = (Parameter(rng.standard_normal((n, d))),
              Parameter(rng.standard_normal((n, 3, dv))))
     weights = (Tensor(rng.standard_normal((len(args[3]), d))),
                Tensor(rng.standard_normal((len(args[3]), 3, dv))))
-    return graph, args, p, state, weights
+    return graph, args, block, state, weights
+
+
+def _leaves(state, block):
+    return [*state, *vars(block.message).values(), *vars(block.feedforward).values()]
 
 
 def _weighted(parts, weights):
     return ad.tsum(parts[0] * weights[0]) + ad.tsum(parts[1] * weights[1])
 
 
+def _gradients(run, leaves, weights):
+    for t in leaves:
+        t.grad = None
+    _weighted(run(), weights).backward()
+    return [np.zeros_like(t.data) if t.grad is None else t.grad for t in leaves]
+
+
 @pytest.mark.parametrize("name", STEP_CASES)
 def test_message_step_matches_gather_first_oracle(rng, monkeypatch, name):
-    """Rows and every gradient equal the gathered-edge message GVP's up to
-    rounding."""
+    """The message half of the block step: rows and every gradient equal
+    the gathered-edge message GVP's up to rounding."""
     monkeypatch.setattr(gvp, "_MESSAGE_CHUNK", 3)
-    graph, args, p, state, weights = _step_setup(rng, name)
-    got = _step_parts(_message_step(p, *state, graph, *args), 4, 2)
+    graph, args, block, state, weights = _step_setup(rng, name)
+    p = block.message
+    got = _step_parts(_message_half(p, *state, graph, *args), 4, 2)
     want = _step_oracle(p, *state, graph, *args)
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.abs(g.data - w.data).max(initial=0) < 1e-13
     leaves = [*state, *vars(p).values()]
-    grads = []
-    for out in (got, want):
-        for t in leaves:
-            t.grad = None
-        _weighted(out, weights).backward()
-        grads.append([np.zeros_like(t.data) if t.grad is None else t.grad for t in leaves])
+    grads = [_gradients(lambda: out, leaves, weights) for out in (got, want)]
     for g, w in zip(*grads):
         assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), 1e-300)
 
 
 @pytest.mark.parametrize("name", STEP_CASES)
 def test_message_step_gradients(rng, monkeypatch, name):
-    """Finite differences of every input of the step: state rows (used,
-    unused and isolated ones) and all six weights."""
+    """Finite differences of every input of the block step, with and
+    without norms: state rows (used, unused and isolated ones) and all
+    twelve weights."""
     monkeypatch.setattr(gvp, "_MESSAGE_CHUNK", 3)
-    graph, args, p, state, weights = _step_setup(rng, name)
-    check(lambda: _weighted(_step_parts(_message_step(p, *state, graph, *args), 4, 2),
-                            weights), [*state, *vars(p).values()])
+    graph, args, block, state, weights = _step_setup(rng, name)
+    for normalize in (False, True):
+        check(lambda: _weighted(_step_parts(
+            _block_step(block, *state, graph, *args, normalize), 4, 2), weights),
+            _leaves(state, block))
 
 
-def test_message_step_rows_do_not_depend_on_chunk_size(rng, monkeypatch):
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("name", STEP_CASES)
+def test_block_step_matches_tape_oracle(rng, monkeypatch, name, normalize):
+    """The block step's rows equal bit for bit its message half followed
+    by the tape-built feedforward GVP, residual adds and norms, with and
+    without a tape; every gradient agrees up to rounding."""
+    monkeypatch.setattr(gvp, "_MESSAGE_CHUNK", 3)
+    graph, args, block, state, weights = _step_setup(rng, name)
+
+    def fused():
+        return _step_parts(_block_step(block, *state, graph, *args, normalize), 4, 2)
+
+    def tape():
+        return _tape_block(block, *state, graph, args, normalize)
+
+    with ad.no_grad():
+        for g, w in zip(fused(), tape()):
+            assert np.array_equal(g.data, w.data)
+    for g, w in zip(fused(), tape()):
+        assert np.array_equal(g.data, w.data)
+    leaves = _leaves(state, block)
+    for g, w in zip(_gradients(fused, leaves, weights), _gradients(tape, leaves, weights)):
+        assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), 1e-300)
+
+
+def test_block_step_rows_do_not_depend_on_chunk_size(rng, monkeypatch):
     """Every output row sums its messages in (dst, src) order whatever the
     chunk size; only BLAS may round a product row differently for another
     row count."""
@@ -339,20 +447,19 @@ def test_message_step_rows_do_not_depend_on_chunk_size(rng, monkeypatch):
     rows_out = np.sort(rng.choice(120, 70, replace=False))
     edges = np.flatnonzero(np.isin(graph.dst, rows_out))
     args = (edges, graph.src[edges], np.searchsorted(rows_out, graph.dst[edges]), rows_out)
-    p = random_gvp(rng, 7, 3, 4, 2)
+    block = GvpBlock(message=random_gvp(rng, 7, 3, 4, 2),
+                     feedforward=random_gvp(rng, 4, 2, 4, 2))
     state = (Parameter(rng.standard_normal((120, 4))),
              Parameter(rng.standard_normal((120, 3, 2))))
     weights = (Tensor(rng.standard_normal((70, 4))),
                Tensor(rng.standard_normal((70, 3, 2))))
-    leaves = [*state, *vars(p).values()]
+    leaves = _leaves(state, block)
     runs = []
     for size in (1, 7, 64, 512, 10**6):
         monkeypatch.setattr(gvp, "_MESSAGE_CHUNK", size)
-        for t in leaves:
-            t.grad = None
-        packed = _message_step(p, *state, graph, *args)
-        _weighted(_step_parts(packed, 4, 2), weights).backward()
-        runs.append((packed.data, [t.grad for t in leaves]))
+        packed = _block_step(block, *state, graph, *args, True)
+        grads = _gradients(lambda: _step_parts(packed, 4, 2), leaves, weights)
+        runs.append((packed.data, grads))
     (rows0, grads0), rest = runs[0], runs[1:]
     for rows, grads in rest:
         assert np.abs(rows - rows0).max() <= 1e-14 * np.abs(rows0).max()
@@ -370,28 +477,32 @@ def _tape_nodes(tensor):
     return list(seen.values())
 
 
-def test_message_step_is_one_tape_node(rng, monkeypatch):
-    """A block's message step records one op, whose parents are the state
-    and the message weights, and the block's tape has the same size for
-    no edges, one edge, many edges and an in-degree above the chunk size."""
+def test_block_step_is_one_tape_node(rng, monkeypatch):
+    """Each block records one op, whose parents are its input state and
+    its twelve weights, plus two column views of its output, so the tape
+    has one size for no edges, one edge, many edges and an in-degree above
+    the chunk size."""
     monkeypatch.setattr(gvp, "_MESSAGE_CHUNK", 3)
-    block = GvpBlock(message=random_gvp(rng, 4 + 3, 2 + 1, 4, 2),
-                     feedforward=random_gvp(rng, 4, 2, 4, 2))
-    sizes = set()
+    blocks = [GvpBlock(message=random_gvp(rng, 4 + 3, 2 + 1, 4, 2),
+                       feedforward=random_gvp(rng, 4, 2, 4, 2)) for _ in range(2)]
     for name in ("empty", "one-edge", "repeats-and-unused-rows", "in-degree-over-chunk"):
         graph, (_, _, _, rows_out) = _step_case(rng, name)
         state = GvpState(Parameter(rng.standard_normal((graph.n_nodes, 4))),
                          Parameter(rng.standard_normal((graph.n_nodes, 3, 2))))
-        sets = receptive_sets(graph, rows_out, 1)
+        sets = receptive_sets(graph, rows_out, len(blocks))
         part = GvpState(ad.gather(state.scalar, sets[0]), ad.gather(state.vector, sets[0]))
-        out = run_message_passing([block], graph, part, True, sets)
+        out = run_message_passing(blocks, graph, part, True, sets)
         nodes = _tape_nodes(ad.tsum(out.scalar) + ad.tsum(out.vector))
         joint = [t for t in nodes if callable(t._backward)]
-        assert len(joint) == 1
-        assert joint[0]._parents == (part.scalar, part.vector,
-                                     *vars(block.message).values())
-        sizes.add(len(nodes))
-    assert len(sizes) == 1
+        assert len(joint) == len(blocks)
+        first = [t for t in joint if t._parents[0] is part.scalar]
+        assert len(first) == 1
+        assert first[0]._parents == (part.scalar, part.vector,
+                                     *vars(blocks[0].message).values(),
+                                     *vars(blocks[0].feedforward).values())
+        # the state and its two gathers, the weights, one op and two column
+        # views per block, and the loss's two sums and their add
+        assert len(nodes) == 4 + 12 * len(blocks) + 3 * len(blocks) + 3
 
 
 # ---------------------------------------------------------------------------
