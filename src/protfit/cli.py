@@ -436,7 +436,10 @@ def cmd_eval(args) -> int:
         results.append(evaluate_assay(assay.protein_id, vec, assay))
         if vec_b is not None:
             spear_a.append(results[-1].spearman)
-            spear_b.append(spearman(vec_b, assay.scores()))
+            try:
+                spear_b.append(spearman(vec_b, assay.scores()))
+            except DataError as exc:
+                raise DataError(f"{assay.protein_id} (--scores-b): {exc}") from None
         if keys is not None:
             for key in sorted(set(keys)):
                 pick = np.array([k == key for k in keys])

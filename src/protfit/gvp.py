@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -90,17 +91,9 @@ class Corruption:
         default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
-_SIZE_FLOORS = dict(embed_dim=1, scalar_dim=1, vector_dim=1, init_hidden=1,
-                    surface_knn=1, init_neighbors=1, fuse_neighbors=1,
-                    rbf_kernels=1, structure_layers=0, surface_layers=0,
-                    window_halfwidth=0)
-# Keys that configs written before a setting was retired still store, each
-# with the only value it can hold now.
-_RETIRED_KEYS = {"fuse_scalar_only": False, "surface_feat_dim": N_FEATURES}
-
-
 @dataclass(frozen=True)
 class ModelConfig:
+    """Fields are what a run sets; class constants, the fixed architecture."""
     mode: str = "s3f"
     embedder: str = "toy"          # one of EMBEDDERS
     embed_dim: int = 64
@@ -109,27 +102,28 @@ class ModelConfig:
     structure_layers: int = 5
     surface_layers: int = 5
     init_hidden: int = 128
-    radius_cutoff: float = 10.0
-    surface_knn: int = 16
-    init_neighbors: int = 3
-    fuse_neighbors: int = 20
-    rbf_kernels: int = 16
-    rbf_max: float = 20.0
-    window_halfwidth: int = 2
     normalize: bool = True
-    head_init: float = 1e-3
     seed: int = 0
+    radius_cutoff: ClassVar[float] = 10.0
+    surface_knn: ClassVar[int] = 16
+    init_neighbors: ClassVar[int] = 3
+    fuse_neighbors: ClassVar[int] = 20
+    rbf_kernels: ClassVar[int] = 16
+    rbf_max: ClassVar[float] = 20.0
+    window_halfwidth: ClassVar[int] = 2
+    head_init: ClassVar[float] = 1e-3
+    rbf = RbfConfig(n_kernels=rbf_kernels, max_d=rbf_max)   # derived: no stored key
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise DataError(f"unknown mode {self.mode!r}")
         if self.embedder not in EMBEDDERS:
             raise DataError(f"unknown embedder {self.embedder!r}")
-        for name, least in _SIZE_FLOORS.items():
+        for name, least in dict(embed_dim=1, scalar_dim=1, vector_dim=1,
+                                init_hidden=1, structure_layers=0,
+                                surface_layers=0).items():
             if getattr(self, name) < least:
                 raise DataError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if not self.radius_cutoff > 0:
-            raise DataError(f"radius_cutoff must be > 0, got {self.radius_cutoff}")
 
     def check_mode(self, mode: str) -> str:
         """``mode``, or this config's own if None; a DataError if a model of
@@ -141,10 +135,6 @@ class ModelConfig:
             if mode in stack and self.mode not in stack:
                 raise DataError(f"model built for {self.mode!r} cannot run {mode!r}")
         return mode
-
-    @property
-    def rbf(self) -> RbfConfig:
-        return RbfConfig(n_kernels=self.rbf_kernels, max_d=self.rbf_max)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -159,6 +149,12 @@ class ModelConfig:
                 raise DataError(f"model config key {key!r} is retired and must "
                                 f"be {json.dumps(only)} if present")
         return cls(**fields)
+
+
+# Stored keys of retired or fixed settings, each with the one value it can hold.
+_RETIRED_KEYS = {"fuse_scalar_only": False, "surface_feat_dim": N_FEATURES, **{
+    name: getattr(ModelConfig, name) for name in ModelConfig.__annotations__
+    if name not in asdict(ModelConfig())}}
 
 
 # ---------------------------------------------------------------------------

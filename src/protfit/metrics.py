@@ -2,10 +2,12 @@
 
 Rank metrics compare model scores against measured DMS values; the
 classification metrics binarize against assay bins when present and a
-median split of the DMS scores otherwise. Degenerate inputs return the
-documented sentinels instead of raising, so batch evaluation over many
-assays never aborts: all-equal gains give NDCG 1.0, and MCC is 0 when a
-confusion-matrix marginal is empty.
+median split of the DMS scores otherwise. Some degenerate inputs have a
+documented sentinel: all-equal gains give NDCG 1.0, and MCC is 0 when a
+confusion-matrix marginal is empty. Others have no value and raise
+DataError: labels of one class (AUC, MCC) and constant scores or DMS
+values (Spearman). ``evaluate_assay`` names the assay in every DataError
+it raises, so a batch evaluation stops at such an assay and says which.
 """
 
 from __future__ import annotations
@@ -187,22 +189,26 @@ def binarize_assay(assay: AssayTable) -> np.ndarray:
 
 
 def evaluate_assay(assay_id: str, scores, assay: AssayTable) -> AssayResult:
-    scores = _as_vector(scores, "scores")
-    dms = assay.scores()
-    if len(scores) != len(dms):
-        raise DataError(f"{assay_id}: score/assay length mismatch")
-    if len(scores) < 2:
-        raise DataError(f"{assay_id}: need at least 2 variants")
-    labels = binarize_assay(assay)
-    return AssayResult(
-        assay_id=assay_id,
-        n_variants=len(scores),
-        spearman=spearman(scores, dms),
-        auc=auc(scores, labels),
-        mcc=mcc(scores, labels),
-        ndcg=ndcg(scores, dms),
-        recall10=top_fraction_recall(scores, dms),
-    )
+    """Every metric of one assay; a DataError starts with ``assay_id``."""
+    try:
+        scores = _as_vector(scores, "scores")
+        dms = assay.scores()
+        if len(scores) != len(dms):
+            raise DataError("score/assay length mismatch")
+        if len(scores) < 2:
+            raise DataError("need at least 2 variants")
+        labels = binarize_assay(assay)
+        return AssayResult(
+            assay_id=assay_id,
+            n_variants=len(scores),
+            spearman=spearman(scores, dms),
+            auc=auc(scores, labels),
+            mcc=mcc(scores, labels),
+            ndcg=ndcg(scores, dms),
+            recall10=top_fraction_recall(scores, dms),
+        )
+    except DataError as exc:
+        raise DataError(f"{assay_id}: {exc}") from None
 
 
 def aggregate_results(results: list) -> dict:

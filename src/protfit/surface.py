@@ -23,6 +23,7 @@ points, from a single ``cross_knn`` self-query of the cloud.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse
@@ -42,6 +43,7 @@ _FIELD_PAIRS = 1 << 15
 
 @dataclass(frozen=True)
 class SurfaceConfig:
+    """Fields are what a run sets; class constants, fixed numerics."""
     atom_radius: float = 3.0
     smoothing: float = 1.0
     level: float = None           # defaults to atom_radius
@@ -51,20 +53,20 @@ class SurfaceConfig:
     knn_k: int = 16
     curvature_k: int = 12
     hks_eigenpairs: int = 32
-    level_tol: float = 1e-3
-    max_seed_rounds: int = 5
+    level_tol: ClassVar[float] = 1e-3
+    max_seed_rounds: ClassVar[int] = 5
 
     def __post_init__(self):
         if self.level is None:
             object.__setattr__(self, "level", 1.0 * self.atom_radius)
         if self.min_points > self.max_points:
             raise DataError("min_points must be <= max_points")
-        for name in ("atom_radius", "smoothing", "level", "level_tol"):
+        for name in ("atom_radius", "smoothing", "level"):
             if not 0 < getattr(self, name) < np.inf:
                 raise DataError(f"{name} must be finite and positive, "
                                 f"got {getattr(self, name)}")
         for name in ("seeds_per_atom", "min_points", "knn_k", "curvature_k",
-                     "hks_eigenpairs", "max_seed_rounds"):
+                     "hks_eigenpairs"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be positive, "
                                 f"got {getattr(self, name)}")
@@ -356,6 +358,8 @@ def _heat_kernel_signature(idx, dist, cfg: SurfaceConfig) -> np.ndarray:
     eigenpairs of the normalized Laplacian of the Gaussian-weighted kNN
     graph; ``idx`` and ``dist`` hold each point's k nearest other points."""
     n, k = idx.shape
+    # one layout for the sum, so sigma does not depend on the caller's view
+    dist = np.ascontiguousarray(dist)
     sigma = max(dist.mean(), 1e-9)
     vals = np.exp(-(dist.ravel() ** 2) / sigma ** 2)
     rows = np.repeat(np.arange(n), k)

@@ -132,7 +132,7 @@ def test_criterion_1_equivariance():
 # ---------------------------------------------------------------------------
 
 TINY = dict(scalar_dim=6, vector_dim=2, structure_layers=1, surface_layers=1,
-            init_hidden=6, embed_dim=8, rbf_kernels=4)
+            init_hidden=6, embed_dim=8)
 
 
 def _grad_check_model(model, loss_fn, h=1e-5, floor=1e-6):
@@ -521,7 +521,7 @@ def test_criterion_7_scoring_contracts():
     model = FitnessModel(ModelConfig(mode="s2f", seed=701, scalar_dim=16,
                                      vector_dim=3, structure_layers=2,
                                      surface_layers=2, init_hidden=8,
-                                     embed_dim=16, rbf_kernels=4))
+                                     embed_dim=16))
     from protfit.io import MutationSet, RESIDUE_TYPES
     wt_zero = score_variant(model, protein, MutationSet(())) == 0.0
 

@@ -341,8 +341,7 @@ def test_no_grad_outputs_record_no_tape(rng):
 def test_no_grad_restores_mode_when_body_raises():
     protein = make_coil_protein(6, seed=1)
     model = FitnessModel(ModelConfig(mode="s2f", scalar_dim=8, vector_dim=2,
-                                     structure_layers=1, embed_dim=8,
-                                     rbf_kernels=4))
+                                     structure_layers=1, embed_dim=8))
     with pytest.raises(DataError, match="out of range"):
         with ad.no_grad():
             model.forward_logits(protein, [protein.n_residues])

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -440,6 +441,20 @@ def test_default_resolved_config_is_pinned(argv, n_keys, config_hash):
     assert cli._hash_config(resolved) == config_hash
 
 
+def test_every_config_field_has_a_flag():
+    """A config field that no flag or config key sets is a knob no run can
+    turn. The one exception is the surface-init width, which perfbench's
+    toy model shrinks."""
+    from protfit.training import TrainConfig
+    set_by_flags = {name for sub in _subcommands().values()
+                    for action in sub._actions
+                    for name in cli._RENAMED.get(action.dest, (action.dest,))}
+    unset = {f"{cls.__name__}.{f.name}"
+             for cls in (ModelConfig, SurfaceConfig, TrainConfig)
+             for f in dataclasses.fields(cls) if f.name not in set_by_flags}
+    assert unset == {"ModelConfig.init_hidden"}
+
+
 # ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
@@ -746,6 +761,36 @@ def test_eval_bootstrap_without_scores_b_is_usage_error(tmp_path, capsys, source
     assert code == 1
     assert "--scores-b" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_names_the_assay_a_metric_rejects(workspace, tmp_path, capsys):
+    """AUC and MCC have no value on one label class, and Spearman none on
+    constant scores: eval exits 2 and names the assay."""
+    root, _, _ = workspace
+    from protfit.io import load_assay
+    assay = load_assay(root / "assay.csv")
+    one_class, other = tmp_path / "one_class.csv", tmp_path / "other.csv"
+    with open(one_class, "w") as fh:
+        fh.write("mutant,DMS_score,DMS_score_bin\n")
+        for v in assay.variants:
+            fh.write(f"{v.mutant},{v.dms_score!r},1\n")
+    shutil.copy(root / "assay.csv", other)
+    scores, flat = tmp_path / "s.csv", tmp_path / "flat.csv"
+    _write_scores(scores, [(v.mutant, i) for i, v in enumerate(assay.variants)])
+    _write_scores(flat, [(v.mutant, 0.0) for v in assay.variants])
+    for argv, named in (
+            (["--assay", root / "assay.csv", "--scores", scores,
+              "--assay", one_class, "--scores", scores],
+             "one_class: both classes must be present"),
+            (["--assay", root / "assay.csv", "--scores", scores,
+              "--scores-b", scores, "--assay", other, "--scores", scores,
+              "--scores-b", flat],
+             "other (--scores-b): zero rank variance")):
+        code = cli.main([str(a) for a in ("eval", *argv,
+                                          "--out", tmp_path / "r.csv")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
 
 def test_eval_missing_score_for_variant(workspace, tmp_path):

@@ -22,8 +22,7 @@ from protfit.surface import (SurfaceConfig, SurfacePointCloud, excise_near_resid
 from test_autodiff import check
 
 SMALL_MODEL = dict(scalar_dim=10, vector_dim=3, structure_layers=2,
-                   surface_layers=2, init_hidden=8, embed_dim=12,
-                   rbf_kernels=4)
+                   surface_layers=2, init_hidden=8, embed_dim=12)
 
 
 def small_model(mode="s3f", seed=0, **kw):
@@ -645,18 +644,34 @@ def test_window_mean_matches_dense_mixer(rng, n, halfwidth):
 
 @pytest.mark.parametrize("field,value", [
     ("embed_dim", 0), ("scalar_dim", 0), ("scalar_dim", -5), ("vector_dim", 0),
-    ("init_hidden", 0), ("surface_knn", 0),
-    ("init_neighbors", 0), ("fuse_neighbors", 0), ("rbf_kernels", 0),
-    ("structure_layers", -1), ("surface_layers", -1), ("window_halfwidth", -1),
-    ("radius_cutoff", 0.0), ("radius_cutoff", -3.0), ("radius_cutoff", float("nan"))])
+    ("init_hidden", 0), ("structure_layers", -1), ("surface_layers", -1)])
 def test_config_rejects_sizes_that_cannot_run(field, value):
     with pytest.raises(DataError, match=field):
         ModelConfig(**{field: value})
 
 
+FIXED_ARCHITECTURE = [
+    (ModelConfig, "radius_cutoff", 10.0), (ModelConfig, "surface_knn", 16),
+    (ModelConfig, "init_neighbors", 3), (ModelConfig, "fuse_neighbors", 20),
+    (ModelConfig, "rbf_kernels", 16), (ModelConfig, "rbf_max", 20.0),
+    (ModelConfig, "window_halfwidth", 2), (ModelConfig, "head_init", 1e-3),
+    (SurfaceConfig, "level_tol", 1e-3), (SurfaceConfig, "max_seed_rounds", 5)]
+
+
+@pytest.mark.parametrize("cls,name,value", FIXED_ARCHITECTURE,
+                         ids=[name for _, name, _ in FIXED_ARCHITECTURE])
+def test_fixed_architecture_is_no_constructor_argument(cls, name, value):
+    """Fixed values are class constants: no run sets them and no config
+    stores them."""
+    assert getattr(cls(), name) == value
+    assert name not in dataclasses.asdict(cls())
+    with pytest.raises(TypeError, match=name):
+        cls(**{name: value})
+
+
 def test_config_allows_zero_layers_and_window():
     protein = make_coil_protein(8, seed=4)
-    model = small_model(structure_layers=0, surface_layers=0, window_halfwidth=0)
+    model = small_model(structure_layers=0, surface_layers=0)
     rows = model.forward_logits(protein, [1, 6], cloud=make_cloud(protein))
     assert rows.shape == (2, 20) and np.isfinite(rows.data).all()
 
@@ -863,7 +878,7 @@ def _graph_with_isolated_nodes(seed):
     coords = np.concatenate([rng.uniform(0, 12, (30, 3)),
                              1000.0 * np.arange(1, 5)[:, None] * np.ones((1, 3))])
     coords = coords[rng.permutation(len(coords))]
-    return build_radius_graph(coords, 4.0, rbf=RbfConfig(n_kernels=4))
+    return build_radius_graph(coords, 4.0, rbf=ModelConfig().rbf)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -956,7 +971,8 @@ def test_forward_and_gradients_match_full_graph_oracle(rf_setup, mode, masked):
     """Receptive-field passes give the whole-graph pass's log-probs and
     every parameter gradient, up to rounding."""
     protein, cloud = rf_setup
-    model = small_model(mode="s3f", seed=22, head_init=1.0)
+    model = small_model(mode="s3f", seed=22)
+    model.params["head.w"].data *= 1e3   # a unit-scale head
     weights = np.random.default_rng(len(masked)).standard_normal((len(masked), 20))
     got = model.forward_logits(protein, masked, mode=mode, cloud=cloud)
     want = _full_forward(model, protein, masked, mode, cloud)
@@ -985,7 +1001,8 @@ def test_surface_walk_is_bit_identical_to_whole_graph_sets(rf_setup, monkeypatch
     whole-cloud kNN graph and its receptive sets."""
     protein, cloud = rf_setup
     cloud, _ = excise_near_residue(cloud, protein.ca_coords[masked], 20)
-    model = small_model(mode="s3f", seed=23, head_init=1.0)
+    model = small_model(mode="s3f", seed=23)
+    model.params["head.w"].data *= 1e3   # a unit-scale head
     weights = np.random.default_rng(5).standard_normal((len(masked), 20))
     runs = []
     for field in (gvp.knn_receptive_field, _whole_graph_field):
@@ -1104,6 +1121,29 @@ def test_checkpoint_with_fuse_scalar_only_key(tmp_path):
         _rewrite_config(path, lambda fields: fields.pop(key))
 
 
+@pytest.mark.parametrize("key", [name for cls, name, _ in FIXED_ARCHITECTURE
+                                 if cls is ModelConfig])
+def test_checkpoint_with_fixed_architecture_key(tmp_path, key):
+    """Checkpoints written while the fixed architecture was config fields
+    store each of its values: the constant loads and scores as without the
+    key, any other value is a DataError naming the key."""
+    protein = make_coil_protein(12, seed=2)
+    cloud = make_cloud(protein, seed=0)
+    path = tmp_path / "m.s3fc"
+    save_checkpoint(small_model(mode="s3f", seed=23), path)
+    plain = load_checkpoint(path)
+    constant = getattr(ModelConfig, key)
+    _rewrite_config(path, lambda fields: fields.update({key: constant}))
+    old = load_checkpoint(path)
+    assert old.config == plain.config
+    assert np.array_equal(
+        old.forward_logits(protein, [3, 8], cloud=cloud).data,
+        plain.forward_logits(protein, [3, 8], cloud=cloud).data)
+    _rewrite_config(path, lambda fields: fields.update({key: constant * 2}))
+    with pytest.raises(DataError, match=key):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("blob", ['["s3f"]', '"s3f"', "3", "null"])
 def test_config_json_must_be_an_object(blob):
     with pytest.raises(DataError, match="JSON object"):
@@ -1118,7 +1158,7 @@ def test_checkpoint_magic_guard(tmp_path):
 
 
 TINY_MODEL = dict(mode="s2f", scalar_dim=2, vector_dim=1, structure_layers=1,
-                  embed_dim=2, rbf_kernels=2)
+                  embed_dim=2)
 
 
 def test_checkpoint_cut_at_any_byte_is_data_error(tmp_path):

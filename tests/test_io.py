@@ -420,7 +420,7 @@ def sample_dir(tmp_path_factory):
     save_embeddings(root / "e.s3fe", rng.standard_normal((3, 2)), "masked:1,2")
     model = gvp.FitnessModel(gvp.ModelConfig(
         mode="s2f", scalar_dim=2, vector_dim=1, structure_layers=1,
-        embed_dim=2, rbf_kernels=2))
+        embed_dim=2))
     gvp.save_checkpoint(model, root / "m.s3fc")
     optimizer = training.make_optimizer(model, training.TrainConfig())
     training.save_train_state(root / "m.state.npz", model, optimizer,

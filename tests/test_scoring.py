@@ -15,7 +15,7 @@ from protfit.surface import (SurfaceConfig, excise_near_residue,
                              generate_surface, surface_features)
 
 MODEL_KW = dict(scalar_dim=12, vector_dim=3, structure_layers=2,
-                surface_layers=2, init_hidden=8, embed_dim=12, rbf_kernels=4)
+                surface_layers=2, init_hidden=8, embed_dim=12)
 SURF = SurfaceConfig(min_points=40, max_points=96, seeds_per_atom=16)
 
 

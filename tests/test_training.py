@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import make_coil_protein
 from protfit.corpus import make_motif_corpus, make_motif_protein
 from protfit.errors import DataError
-from protfit.gvp import FitnessModel, ModelConfig, load_checkpoint
+from protfit.gvp import _RETIRED_KEYS, FitnessModel, ModelConfig, load_checkpoint
 from protfit.io import (RESIDUE_TYPES, THREE_TO_ONE, load_structure,
                         serialize_structure)
 from protfit.surface import (SurfaceConfig, excise_near_residue, generate_surface,
@@ -16,7 +18,7 @@ from protfit.training import (Adam, CorpusItem, MASK, KEEP, RANDOM,
                               save_train_state)
 
 MODEL_KW = dict(scalar_dim=12, vector_dim=3, structure_layers=2,
-                surface_layers=2, init_hidden=8, embed_dim=12, rbf_kernels=4)
+                surface_layers=2, init_hidden=8, embed_dim=12)
 SURF = SurfaceConfig(min_points=40, max_points=96, seeds_per_atom=16)
 
 
@@ -249,8 +251,7 @@ def test_pretrain_resume_equivalence(tmp_path):
 
 def _tiny_train_state(path, optimizer="adam"):
     model = FitnessModel(ModelConfig(mode="s2f", scalar_dim=2, vector_dim=1,
-                                     structure_layers=1, embed_dim=2,
-                                     rbf_kernels=2))
+                                     structure_layers=1, embed_dim=2))
     opt = make_optimizer(model, TrainConfig(optimizer=optimizer))
     save_train_state(path, model, opt, np.random.default_rng(0), 1)
     return model
@@ -279,6 +280,23 @@ def test_train_state_bad_zip_entry_is_data_error(tmp_path, offset, value):
     path.write_bytes(bytes(blob))
     with pytest.raises(DataError, match="unreadable resume state"):
         load_train_state(path)
+
+
+def test_train_state_with_retired_config_keys(tmp_path):
+    """Sidecars written before a setting was retired or fixed store its
+    key; at the one value it can hold now, it resumes as without it."""
+    path = tmp_path / "s.state.npz"
+    model = _tiny_train_state(path)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    meta["config"] = json.dumps({**json.loads(meta["config"]), **_RETIRED_KEYS})
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(tmp_path / "old.npz", **arrays)
+    old, _, _, _ = load_train_state(tmp_path / "old.npz")
+    assert old.config == model.config
+    for name, p in model.params.items():
+        assert np.array_equal(old.params[name].data, p.data)
 
 
 def test_train_state_needs_every_parameter(tmp_path):
