@@ -386,7 +386,8 @@ def run_message_passing(blocks, graph: SpatialGraph, state: GvpState,
     gets the same arithmetic as on the whole graph. None means every node
     at every layer. A state whose row count is not len(node_sets[0]), or
     a set that lacks a row of the next set or one of its in-neighbors, is
-    a DataError.
+    a DataError, and so is a graph whose edges carry another number of RBF
+    values than the blocks' message weights take.
 
     Each block is one op (``_block_step``) that holds node-level state
     plus one chunk of edges at a time."""
@@ -400,6 +401,11 @@ def run_message_passing(blocks, graph: SpatialGraph, state: GvpState,
         raise DataError(f"state has {scalar.shape[0]} scalar and {vector.shape[0]} "
                         f"vector rows, node_sets[0] has {len(node_sets[0])}")
     d, dv = scalar.shape[1], vector.shape[2]
+    for block in blocks:
+        n_rbf = len(block.message.w_m.data) - d - len(block.message.w_h.data)
+        if n_rbf != graph.edge_scalar.shape[1]:
+            raise DataError(f"graph edges carry {graph.edge_scalar.shape[1]} RBF "
+                            f"values, the blocks take {n_rbf}")
     for block, rows_in, rows_out in zip(blocks, node_sets, node_sets[1:]):
         keep = _positions(rows_in, rows_out)
         into = np.zeros(graph.n_nodes, dtype=bool)
@@ -706,8 +712,8 @@ def save_checkpoint(model: FitnessModel, path) -> None:
 
 def load_checkpoint(path) -> FitnessModel:
     """Read an S3FC file written by ``save_checkpoint``. Raises DataError
-    unless the file holds exactly one tensor of the right shape for every
-    parameter of its config, and nothing after the last one."""
+    unless the file holds exactly one finite tensor of the right shape for
+    every parameter of its config, and nothing after the last one."""
     blob = read_file(path)
     if blob[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: magic mismatch (not an S3FC file)")
@@ -743,6 +749,8 @@ def load_checkpoint(path) -> FitnessModel:
         if u32s(ndim) != target.data.shape:
             raise DataError(f"{path}: shape mismatch for {name!r}")
         data = np.frombuffer(take(4 * target.data.size), dtype="<f4")
+        if not np.isfinite(data).all():
+            raise DataError(f"{path}: non-finite values in tensor {name!r}")
         target.data = data.reshape(target.data.shape).astype(np.float64)
         loaded.add(name)
     if offset != len(blob):

@@ -9,6 +9,15 @@ frames built from neighboring atoms, and deduplication happens in a
 canonical frame from the atom cloud's principal axes, so the whole
 pipeline commutes with rigid motions of the input.
 
+The field is evaluated only where its answer is not already known. Each
+point's normal is the normalized gradient from the Newton iteration that
+found it on the level set. The interior test (do probes along the normal
+re-enter the level set?) relies on the field being 1-Lipschitz: a probe
+with value f proves every probe within f - (level - level_tol) of it,
+less a 1e-9 relative margin for rounding, to be outside, so those are
+never evaluated. Both keep every output bit-identical to evaluating
+the field everywhere.
+
 Per-point geometric features are ``N_FEATURES`` columns: a Gaussian
 curvature estimate (local quadric fit in the tangent frame) and heat
 kernel signatures at the ``HKS_TIMES`` from the lowest eigenpairs of the
@@ -28,6 +37,7 @@ from typing import ClassVar
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.spatial.distance import cdist
 
 from .errors import DataError, NumericsError
 from .geometry import cross_knn, nearest_others
@@ -36,8 +46,9 @@ from .io import Protein, read_text_lines
 HKS_TIMES = tuple(np.logspace(-0.5, 1.5, 4))
 # feature columns per point: curvature, then one HKS per time
 N_FEATURES = 1 + len(HKS_TIMES)
-# (atom, point) pairs per (atoms x 3 x points) difference block: 768 KB,
-# small enough to stay in a core's cache while the block is reused
+# (atom, point) pairs per chunk of the field: a (atoms x 3 x points)
+# difference block of 768 KB, or a (points x atoms) distance block of
+# 256 KB, small enough to stay in a core's cache while the block is reused
 _FIELD_PAIRS = 1 << 15
 
 
@@ -105,24 +116,36 @@ def _field(points: np.ndarray, atoms: np.ndarray, smoothing: float,
            with_grad: bool = False):
     """Soft-min field values (and optionally gradients) at many points.
 
-    Each chunk of points is laid out atoms-major: one (atoms, 3, points)
-    block of differences, whose three coordinate slices give (atoms,
-    points) blocks of distances and weights. It keeps the summation order
-    of the plain (points, atoms, 3) formula, so the output is bit-identical
-    to it and does not depend on how the points are batched or chunked:
-    each distance adds dx^2, dy^2 and dz^2 left to right, the weight sum
-    is numpy's pairwise sum over one contiguous row of atoms per point,
-    and each gradient adds its atoms' terms one after another in atom
-    order. ``atoms`` must be a non-empty (atoms, 3) array.
+    Values alone come from points-major (points, atoms) distance blocks of
+    ``cdist``; with gradients, each chunk of points is laid out
+    atoms-major: one (atoms, 3, points) block of differences, whose three
+    coordinate slices give (atoms, points) blocks of distances and
+    weights. Both keep the summation order of the plain (points, atoms, 3)
+    formula, so the output is bit-identical to it and does not depend on
+    how the points are batched or chunked: each distance adds dx^2, dy^2
+    and dz^2 left to right, the weight sum is numpy's pairwise sum over
+    one contiguous row of atoms per point, and each gradient adds its
+    atoms' terms one after another in atom order. ``atoms`` must be a
+    non-empty (atoms, 3) array.
     """
     if atoms.ndim != 2 or len(atoms) < 1:
         raise DataError("need at least one atom")
     points = np.atleast_2d(points)
     m = len(points)
     f = np.empty(m)
-    g = np.empty((m, 3)) if with_grad else None
-    columns = np.ascontiguousarray(points.T)
     chunk = max(1, _FIELD_PAIRS // len(atoms))
+    if not with_grad:
+        for start in range(0, m, chunk):
+            d = cdist(points[start:start + chunk], atoms)
+            np.maximum(d, 1e-12, out=d)
+            w = np.divide(d, -smoothing, out=d)   # -d / smoothing, bit for bit
+            zmax = w.max(axis=1)
+            w -= zmax[:, None]
+            np.exp(w, out=w)
+            f[start:start + chunk] = -smoothing * (zmax + np.log(w.sum(axis=1)))
+        return f
+    g = np.empty((m, 3))
+    columns = np.ascontiguousarray(points.T)
     for start in range(0, m, chunk):
         stop = min(m, start + chunk)
         diff = columns[None, :, start:stop] - atoms[:, :, None]
@@ -140,12 +163,11 @@ def _field(points: np.ndarray, atoms: np.ndarray, smoothing: float,
         # summed along contiguous rows, so numpy sums pairwise as before
         wsum = np.ascontiguousarray(w.T).sum(axis=1)
         f[start:stop] = -smoothing * (zmax + np.log(wsum))
-        if with_grad:
-            w /= wsum
-            diff *= w[:, None, :]
-            diff /= d[:, None, :]
-            g[start:stop] = diff.sum(axis=0).T
-    return (f, g) if with_grad else f
+        w /= wsum
+        diff *= w[:, None, :]
+        diff /= d[:, None, :]
+        g[start:stop] = diff.sum(axis=0).T
+    return f, g
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +257,14 @@ def _canonical_frame(atoms: np.ndarray):
 # generation
 # ---------------------------------------------------------------------------
 
-def _project_to_level(seeds, atoms, cfg: SurfaceConfig) -> np.ndarray:
+def _project_to_level(seeds, atoms, cfg: SurfaceConfig):
     """Damped Newton projection of seeds onto {f = level}; drops seeds that
-    fail to converge within 50 iterations."""
+    fail to converge within 50 iterations. Returns the converged points
+    and the field gradient at each, from the iteration that found it
+    converged: ``_field`` rows do not depend on the batch, so it is the
+    gradient a new call at the returned points would give."""
     pts = seeds.copy()
+    grad = np.empty_like(pts)
     level, s = cfg.level, cfg.smoothing
     active = np.ones(len(pts), dtype=bool)
     done = np.zeros(len(pts), dtype=bool)
@@ -250,6 +276,7 @@ def _project_to_level(seeds, atoms, cfg: SurfaceConfig) -> np.ndarray:
         r = f - level
         hit = np.abs(r) < cfg.level_tol
         done[work[hit]] = True
+        grad[work[hit]] = g[hit]
         move = work[~hit]
         if len(move) == 0:
             continue
@@ -263,17 +290,48 @@ def _project_to_level(seeds, atoms, cfg: SurfaceConfig) -> np.ndarray:
         bad = ~np.isfinite(pts[move]).all(axis=1)
         if bad.any():
             active[move[bad]] = False
-    return pts[done]
+    return pts[done], grad[done]
 
 
 def _interior_mask(pts, normals, atoms, cfg: SurfaceConfig) -> np.ndarray:
     """True for points whose outward normal ray re-enters the level set
-    within 2 * level (pockets and tunnels rather than the outer envelope)."""
+    within 2 * level (pockets and tunnels rather than the outer envelope):
+    some probe ``pts + t * normals``, t in ``linspace(level / 4, 2 * level,
+    8)``, has a field value below ``level - level_tol``.
+
+    The answer is that of evaluating every probe, but most probes are
+    settled without evaluation. The soft-min field is 1-Lipschitz (its
+    gradient is a convex combination of unit vectors, also with the 1e-12
+    distance clamp), so a probe with value f proves that every probe
+    within ``f - (level - level_tol) - margin`` of it along the same unit
+    normal is outside. Each round evaluates every open point's farthest
+    still-open probe and closes the probes its value certifies; a point
+    stops at its first inside probe. The margin, 1e-9 of the largest of
+    ``level``, ``smoothing`` and the coordinates, covers the rounding of
+    the values and of the probe positions. A probe the bound cannot settle
+    is evaluated, and gets the value the all-probe test would give it,
+    since ``_field`` rows do not depend on the batch.
+    """
     level = cfg.level
     ts = np.linspace(0.25 * level, 2.0 * level, 8)
     probes = pts[:, None, :] + ts[None, :, None] * normals[:, None, :]
-    f = _field(probes.reshape(-1, 3), atoms, cfg.smoothing).reshape(len(pts), len(ts))
-    return (f < level - cfg.level_tol).any(axis=1)
+    inside_below = level - cfg.level_tol
+    margin = 1e-9 * max(level, cfg.smoothing, np.abs(atoms).max(),
+                        np.abs(probes).max(initial=0.0))
+    open_probes = np.ones((len(pts), len(ts)), dtype=bool)
+    inside = np.zeros(len(pts), dtype=bool)
+    rows = np.arange(len(pts))
+    while len(rows):
+        far = len(ts) - 1 - open_probes[rows, ::-1].argmax(axis=1)
+        f = _field(probes[rows, far], atoms, cfg.smoothing)
+        hit = f < inside_below
+        inside[rows[hit]] = True
+        reach = f - inside_below - margin
+        still = open_probes[rows] & (np.abs(ts - ts[far][:, None]) > reach[:, None])
+        still[np.arange(len(rows)), far] = False
+        open_probes[rows] = still
+        rows = rows[~hit & still.any(axis=1)]
+    return inside
 
 
 def generate_surface(protein: Protein, cfg: SurfaceConfig = None,
@@ -300,14 +358,13 @@ def generate_surface(protein: Protein, cfg: SurfaceConfig = None,
         local /= np.maximum(np.linalg.norm(local, axis=2, keepdims=True), 1e-12)
         dirs = np.einsum("nij,nkj->nki", frames, local)
         seeds = (atoms[:, None, :] + cfg.level * dirs).reshape(-1, 3)
-        projected = _project_to_level(seeds, atoms, cfg)
+        projected, grad = _project_to_level(seeds, atoms, cfg)
         canon = (projected - center) @ axes
         new_cells = np.floor(canon / spacing).astype(np.int64)
         _, first = np.unique(np.concatenate([cells, new_cells]), axis=0,
                              return_index=True)
         fresh = np.sort(first[first >= len(cells)]) - len(cells)
-        new_pts = projected[fresh]
-        _, grad = _field(new_pts, atoms, cfg.smoothing, with_grad=True)
+        new_pts, grad = projected[fresh], grad[fresh]
         new_normals = grad / np.maximum(
             np.linalg.norm(grad, axis=1, keepdims=True), 1e-12)
         cells = np.concatenate([cells, new_cells[fresh]])

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,18 @@ def make_coil_protein(n_res, seed, name=None, plddt=None):
     coords = random_coil(n_res, rng)
     return Protein(id=name or f"coil{seed}", sequence=rng.integers(0, 20, n_res),
                    ca_coords=coords, plddt=plddt)
+
+
+def overwrite_checkpoint_value(path, name, bits):
+    """Replace the first float32 of tensor ``name`` in an S3FC file with
+    the value whose bit pattern is ``bits``."""
+    blob = bytearray(path.read_bytes())
+    encoded = name.encode("utf-8")
+    at = blob.index(struct.pack("<I", len(encoded)) + encoded) + 4 + len(encoded)
+    (ndim,) = struct.unpack_from("<I", blob, at)
+    at += 4 + 4 * ndim
+    struct.pack_into("<I", blob, at, bits)
+    path.write_bytes(bytes(blob))
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from conftest import overwrite_checkpoint_value
 from protfit import cli, io, metrics, surface
 from protfit.corpus import make_motif_corpus, make_synthetic_variants
 from protfit.errors import NumericsError
@@ -520,6 +521,18 @@ def test_score_non_finite_external_exits_2(workspace, trained, tmp_path):
                    "--external", ext, *SURFACE_FLAGS)
     assert proc.returncode == 2, proc.stderr
     assert "non-finite score inf" in proc.stderr
+
+
+def test_score_non_finite_checkpoint_exits_2(workspace, trained, tmp_path):
+    root, _, _ = workspace
+    bad = tmp_path / "nan.s3fc"
+    shutil.copyfile(trained, bad)
+    overwrite_checkpoint_value(bad, "head.w", 0x7FA00000)
+    proc = run_cli("score", bad, root / "corpus" / "motif000.tsv",
+                   root / "assay.csv", "--out", tmp_path / "s.csv", *SURFACE_FLAGS)
+    assert proc.returncode == 2, proc.stderr
+    assert "non-finite values in tensor 'head.w'" in proc.stderr
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("bad", ["missing", "inf"])

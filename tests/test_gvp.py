@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import make_coil_protein, random_rotation
+from conftest import (make_coil_protein, overwrite_checkpoint_value,
+                      random_rotation)
 from protfit import autodiff as ad
 from protfit.autodiff import Parameter, Tensor
 from protfit.errors import DataError
@@ -169,9 +171,9 @@ def _random_state(rng, n, d, dv):
 
 def test_zero_edge_graph_is_feedforward_only(rng):
     coords = np.array([[0., 0, 0], [100., 0, 0], [200., 0, 0]])
-    graph = build_radius_graph(coords, 1.0, rbf=RbfConfig(n_kernels=4))
-    assert graph.n_edges == 0
     model = small_model()
+    graph = build_radius_graph(coords, 1.0, rbf=model.config.rbf)
+    assert graph.n_edges == 0
     state = _random_state(rng, 3, 10, 3)
     out = run_message_passing(model.structure_blocks, graph, state,
                               normalize=False)
@@ -951,6 +953,18 @@ def test_message_passing_rejects_state_and_sets_that_do_not_fit(rng):
             run_message_passing(blocks, graph, part(bad[0]), True, bad)
 
 
+def test_message_passing_rejects_a_graph_of_another_rbf_width(rng):
+    """Blocks built for 16 RBF kernels on a 4-kernel graph would read RBF
+    rows as channel-norm weights; it is a DataError naming both widths."""
+    graph = build_radius_graph(rng.uniform(0, 12, (30, 3)), 4.0,
+                               rbf=RbfConfig(n_kernels=4))
+    model = small_model()
+    assert model.config.rbf.n_kernels == 16
+    state = _random_state(rng, graph.n_nodes, 10, 3)
+    with pytest.raises(DataError, match="carry 4 RBF values, the blocks take 16"):
+        run_message_passing(model.structure_blocks, graph, state)
+
+
 def _grads(model, log_probs, weights):
     model.zero_grad()
     ad.tsum(log_probs * Tensor(weights)).backward()
@@ -1173,6 +1187,20 @@ def test_checkpoint_cut_at_any_byte_is_data_error(tmp_path):
     cut.write_bytes(blob + b"\0")
     with pytest.raises(DataError, match="after the last tensor"):
         load_checkpoint(cut)
+
+
+@pytest.mark.parametrize("bits", [0x7FA00000, 0x7F800000],
+                         ids=["signalling_nan", "inf"])
+def test_checkpoint_with_non_finite_value_is_data_error(tmp_path, bits):
+    """Checked before the float64 cast, which would warn on a signalling
+    NaN; the error names the tensor."""
+    path = tmp_path / "m.s3fc"
+    save_checkpoint(FitnessModel(ModelConfig(**TINY_MODEL)), path)
+    overwrite_checkpoint_value(path, "head.w", bits)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="non-finite values in tensor 'head.w'"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_missing_tensor_is_data_error(tmp_path):

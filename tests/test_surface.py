@@ -1,3 +1,6 @@
+import collections
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,7 +13,8 @@ from protfit.geometry import cross_knn, nearest_others
 from protfit.io import Protein
 from protfit.surface import (HKS_TIMES, N_FEATURES, SurfaceConfig,
                              SurfacePointCloud, _field, _gaussian_curvature,
-                             _heat_kernel_signature, _seed_frames,
+                             _heat_kernel_signature, _interior_mask,
+                             _project_to_level, _seed_frames,
                              excise_near_residue,
                              generate_surface, read_cloud_tsv,
                              surface_features, write_cloud_tsv)
@@ -78,16 +82,18 @@ def _dense_field(points, atoms, smoothing):
     return f, g
 
 
-@pytest.mark.parametrize("n_atoms", [1, 7, 9, 40])
+@pytest.mark.parametrize("n_atoms", [1, 7, 9, 40, 300])
 @pytest.mark.parametrize("pairs", [None, 1, 3])
 def test_field_is_bit_identical_to_dense_formula(rng, monkeypatch, n_atoms, pairs):
     """Several chunks (pair budgets of one and three points per chunk,
     with the points not a multiple of three) and a point on an atom, where
-    the 1e-12 distance clamp applies."""
+    the 1e-12 distance clamp applies. The 300 atoms sit at coordinates of
+    scale 1e3."""
     if pairs is not None:
         monkeypatch.setattr(protfit.surface, "_FIELD_PAIRS", pairs * n_atoms)
-    atoms = rng.uniform(0, 10, (n_atoms, 3))
-    points = rng.uniform(-3, 13, (17, 3))
+    scale = 1e3 if n_atoms == 300 else 10.0
+    atoms = rng.uniform(0, scale, (n_atoms, 3))
+    points = rng.uniform(-0.3 * scale, 1.3 * scale, (17, 3))
     points[5] = atoms[0]
     f, g = _field(points, atoms, 0.7, with_grad=True)
     want_f, want_g = _dense_field(points, atoms, 0.7)
@@ -232,6 +238,101 @@ def test_degenerate_surface_rejected():
     tiny = SurfaceConfig(level=1e-300, min_points=4, seeds_per_atom=4)
     with pytest.raises(DataError, match="degenerate surface: only 0 points"):
         generate_surface(make_coil_protein(6, seed=1), tiny, seed=0)
+
+
+def _all_probes_interior(pts, normals, atoms, cfg):
+    """The interior test that evaluates every probe."""
+    ts = np.linspace(0.25 * cfg.level, 2.0 * cfg.level, 8)
+    probes = pts[:, None, :] + ts[None, :, None] * normals[:, None, :]
+    f = _field(probes.reshape(-1, 3), atoms, cfg.smoothing).reshape(len(pts), len(ts))
+    return (f < cfg.level - cfg.level_tol).any(axis=1)
+
+
+def _level_set_points(protein, cfg, per_atom=4):
+    """Projected seeds with their unit normals, before the interior test."""
+    atoms = protein.ca_coords
+    dirs = np.random.default_rng(0).standard_normal((len(atoms) * per_atom, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pts, grad = _project_to_level(np.repeat(atoms, per_atom, axis=0)
+                                  + cfg.level * dirs, atoms, cfg)
+    return pts, grad / np.linalg.norm(grad, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n_res, seed, has_interior",
+                         [(30, 1, False), (60, 0, True), (104, 0, True)])
+def test_interior_mask_matches_all_probes(n_res, seed, has_interior):
+    protein = make_motif_protein("m", n_res, np.random.default_rng(seed))
+    cfg = SurfaceConfig()
+    pts, normals = _level_set_points(protein, cfg)
+    want = _all_probes_interior(pts, normals, protein.ca_coords, cfg)
+    assert want.any() == has_interior
+    assert np.array_equal(
+        _interior_mask(pts, normals, protein.ca_coords, cfg), want)
+
+
+def test_interior_mask_next_to_the_threshold(monkeypatch):
+    """Probe values within 1e-10 of level - level_tol around one atom,
+    where the field is the distance. Along outward normals the nearest
+    probe is one the farthest probe's bound reaches only without its
+    margin, so each point evaluates both; inward normals put the farthest
+    probe itself next to the threshold."""
+    cfg = SurfaceConfig()
+    atom = np.zeros((1, 3))
+    ts = np.linspace(0.25 * cfg.level, 2.0 * cfg.level, 8)
+    below = cfg.level - cfg.level_tol
+    dirs = fibonacci_sphere(12)
+    offsets = np.array([-1e-10, -3e-11, 0.0, 3e-11, 1e-10])
+    rows = []
+    real = protfit.surface._field
+
+    def counting(points, *args):
+        rows.append(len(points))
+        return real(points, *args)
+
+    monkeypatch.setattr(protfit.surface, "_field", counting)
+    for radii, sign in ((below - ts[0] + offsets, 1.0),
+                        (below + ts[-1] + offsets, -1.0)):
+        pts = (radii[:, None, None] * dirs).reshape(-1, 3)
+        normals = np.tile(sign * dirs, (len(radii), 1))
+        want = _all_probes_interior(pts, normals, atom, cfg)
+        assert 0 < want.sum() < len(pts)
+        rows.clear()
+        assert np.array_equal(_interior_mask(pts, normals, atom, cfg), want)
+        if sign > 0:
+            assert sum(rows) == 2 * len(pts)
+
+
+def test_normals_are_the_normalized_field_gradients():
+    protein = make_motif_protein("m", 60, np.random.default_rng(0))
+    cloud = generate_surface(protein, SurfaceConfig(max_points=896), seed=0)
+    _, grad = _field(cloud.points, protein.ca_coords, 1.0, with_grad=True)
+    want = grad / np.maximum(np.linalg.norm(grad, axis=1, keepdims=True), 1e-12)
+    assert np.array_equal(cloud.normals, want)
+
+
+# (point, atom) pairs one generate_surface call below evaluates: 1,032,200
+# when measured, 2,362,984 with all-probe interior tests and a second
+# gradient pass for the normals
+FIELD_PAIRS_104 = 1_032_200
+
+
+def test_generate_surface_field_work(monkeypatch):
+    """A work gate: the field is asked only by Newton projection and the
+    interior test, for at most the measured pairs plus 10%."""
+    pairs = collections.Counter()
+    real = protfit.surface._field
+
+    def counting(points, atoms, smoothing, with_grad=False):
+        caller = sys._getframe(1).f_code.co_name
+        pairs[caller] += len(np.atleast_2d(points)) * len(atoms)
+        return real(points, atoms, smoothing, with_grad)
+
+    monkeypatch.setattr(protfit.surface, "_field", counting)
+    protein = make_motif_protein("gate", 104, np.random.default_rng(0))
+    cloud = generate_surface(protein, SurfaceConfig(max_points=1536), seed=0)
+    assert cloud.n_points == 1536
+    assert set(pairs) == {"_project_to_level", "_interior_mask"}
+    assert sum(pairs.values()) <= 1.1 * FIELD_PAIRS_104
 
 
 # ---------------------------------------------------------------------------
