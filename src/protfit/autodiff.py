@@ -15,12 +15,13 @@ parent's ``.grad``. Parents and gradients are paired with
 dropping a gradient. Inside ``no_grad()`` ops record neither, so
 inference builds no tape.
 
-Only the ops the network needs are implemented: elementwise arithmetic
-with broadcasting, affine maps of split row blocks (``linear_split``),
-2-D transpose, reshape and column views, row gather and substitution,
-sorted-segment sums, reductions, and the usual nonlinearities (whose
-array forms ``relu_data`` and ``sigmoid_data`` the fused GVP block step
-shares, writing in place). All reductions use fixed summation orders, so
+Only the ops the model records are implemented: sums, products and
+negation with broadcasting, affine maps of split row blocks
+(``linear_split``), reshape and column views, row gather and
+substitution, sorted-segment sums, sums and means, ``relu`` and
+``log_softmax``, and the row picks of the loss (``select_rc``). The fused
+GVP block step shares the array forms ``relu_data`` and ``sigmoid_data``,
+which write in place. All reductions use fixed summation orders, so
 repeated runs are bit-identical.
 """
 
@@ -178,18 +179,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -244,26 +233,11 @@ def add(a, b) -> Tensor:
                   lambda g: _unbroadcast(g, b.data.shape)))
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _make(a.data - b.data, (a, b),
-                 (lambda g: _unbroadcast(g, a.data.shape),
-                  lambda g: _unbroadcast(-g, b.data.shape)))
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     return _make(a.data * b.data, (a, b),
                  (lambda g: _unbroadcast(g * b.data, a.data.shape),
                   lambda g: _unbroadcast(g * a.data, b.data.shape)))
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _make(a.data / b.data, (a, b),
-                 (lambda g: _unbroadcast(g / b.data, a.data.shape),
-                  lambda g: _unbroadcast(-g * a.data / (b.data * b.data),
-                                         b.data.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +279,6 @@ def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
     return _make(x.data.reshape(shape), (x,),
                  (lambda g: g.reshape(x.data.shape),))
-
-
-def transpose(x) -> Tensor:
-    """Transpose of a 2-D tensor (a view; no copy)."""
-    x = as_tensor(x)
-    return _make(x.data.T, (x,), (lambda g: g.T,))
 
 
 def columns(x, start: int, shape: tuple) -> Tensor:
@@ -434,18 +402,6 @@ def relu(x) -> Tensor:
     return _make(out, (x,), (lambda g: g * (out > 0),))
 
 
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    out = sigmoid_data(x.data)
-    return _make(out, (x,), (lambda g: g * out * (1.0 - out),))
-
-
-def sqrt(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.sqrt(x.data)
-    return _make(out, (x,), (lambda g: g * 0.5 / out,))
-
-
 def log_softmax(x) -> Tensor:
     """Row-wise log softmax along the last axis."""
     x = as_tensor(x)
@@ -455,8 +411,3 @@ def log_softmax(x) -> Tensor:
     soft = np.exp(out)
     return _make(out, (x,),
                  (lambda g: g - soft * g.sum(axis=-1, keepdims=True),))
-
-
-def vec_norm(v, eps: float = 1e-8) -> Tensor:
-    """Per-channel Euclidean norms of (n, 3, c) vectors: sqrt(sum + eps)."""
-    return sqrt(add(tsum(mul(v, v), axis=1), eps))

@@ -6,7 +6,9 @@ concurrently. On-disk formats:
 
 * structure tsv: tab separated ``index  code  x  y  z  [plddt]``, ``#``
   comments allowed
-* pdb-min: ATOM/CA records of a PDB file, B-factor column read as pLDDT
+* pdb-min: the CA atoms of one chain in a PDB file, from ATOM records
+  and HETATM selenomethionine (read as methionine), B-factor column
+  read as pLDDT
 * embeddings: ``S3FE`` binary (little endian), optional UTF-8 footer
   holding the masking context tag
 * assay CSV: header with ``mutant``, ``DMS_score``, optional
@@ -56,6 +58,8 @@ THREE_TO_ONE = {
     "LEU": "L", "LYS": "K", "MET": "M", "PHE": "F", "PRO": "P",
     "SER": "S", "THR": "T", "TRP": "W", "TYR": "Y", "VAL": "V",
 }
+# pdb-min also reads selenomethionine, a methionine with selenium for sulfur
+_PDB_RESIDUES = {**THREE_TO_ONE, "MSE": "M"}
 
 EMBED_MAGIC = b"S3FE"
 EMBED_VERSION = 1
@@ -216,15 +220,26 @@ def parse_structure(data, fmt: str, name: str = "protein") -> Protein:
 
 
 def _pdb_min_records(text: str):
-    """(line, residue number, one-letter code, xyz, pLDDT) per CA atom."""
-    # Non-ATOM records and non-CA atoms are skipped, not rejected: real PDB
-    # files carry headers and side chains this pipeline never needs.
+    """(line, residue number, one-letter code, xyz, pLDDT) per CA atom of
+    an ``ATOM`` record, or of a ``HETATM`` selenomethionine (MSE), which
+    reads as methionine. A CA atom of a second chain is a DataError naming
+    both chains."""
+    # Other records and non-CA atoms are skipped, not rejected: real PDB
+    # files carry headers, side chains, ligands, waters and ions (calcium
+    # is a HETATM atom named CA) that this pipeline never needs.
+    chain = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.startswith("ATOM") or line[12:16].strip() != "CA":
-            continue
         res3 = line[17:20].strip()
-        if res3 not in THREE_TO_ONE:
+        amino = line.startswith("ATOM") or (line.startswith("HETATM") and res3 == "MSE")
+        if not amino or line[12:16].strip() != "CA":
+            continue
+        if res3 not in _PDB_RESIDUES:
             raise DataError(f"line {lineno}: unknown residue code {res3!r}")
+        if chain is None:
+            chain = line[21:22]
+        elif line[21:22] != chain:
+            raise DataError(f"line {lineno}: CA atom of chain {line[21:22]!r} after "
+                            f"chain {chain!r}; pdb-min reads one chain")
         try:
             resnum = int(line[22:26])
             xyz = float(line[30:38]), float(line[38:46]), float(line[46:54])
@@ -237,7 +252,7 @@ def _pdb_min_records(text: str):
             raise DataError(f"line {lineno}: malformed B-factor field") from None
         # experimental B-factors are not confidences and can exceed 100;
         # clamp into the pLDDT range instead of rejecting the structure
-        yield lineno, resnum, THREE_TO_ONE[res3], xyz, min(max(conf, 0.0), 100.0)
+        yield lineno, resnum, _PDB_RESIDUES[res3], xyz, min(max(conf, 0.0), 100.0)
 
 
 def _tsv_records(text: str):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import REPORT_FORMATS
 from .errors import DataError
-from .io import AssayTable, read_csv_rows, write_csv
+from .io import AssayTable, write_csv
 
 METRIC_COLUMNS = ("spearman", "auc", "mcc", "ndcg", "recall10")
 
@@ -261,30 +261,3 @@ def emit_report(path, results: list, fmt: str = "csv", aggregate: dict = None,
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def read_report_csv(path) -> dict:
-    """Parse an emitted CSV report back into assays/aggregate/groups."""
-    rows = read_csv_rows(path)
-    if not rows or rows[0][1][:2] != ["assay_id", "n_variants"]:
-        raise DataError(f"{path}: unexpected report header")
-    out = {"assays": [], "aggregate": None, "groups": {}, "significance": {}}
-    for line, row in rows[1:]:
-        key, *cells = row
-        try:
-            if key.startswith("SIGNIFICANCE:"):
-                (value,) = cells
-                out["significance"][key.split(":", 1)[1]] = float(value)
-                continue
-            count, *values = cells
-            record = {"assay_id": key, "n_variants": int(count),
-                      **dict(zip(METRIC_COLUMNS, map(float, values), strict=True))}
-        except ValueError:
-            raise DataError(f"{path} row {line}: malformed report row {row!r}") from None
-        if key == "AGGREGATE":
-            out["aggregate"] = record
-        elif key.startswith("GROUP:"):
-            out["groups"][key.split(":", 1)[1]] = record
-        else:
-            out["assays"].append(record)
-    return out

@@ -280,6 +280,8 @@ def pretrain_step(model: FitnessModel, batch: list, optimizer,
         total_loss += float(loss.data) * scale
         hits += int((log_probs.data.argmax(axis=1) == targets).sum())
         count += len(targets)
+        # free this item's tape before the next item's forward builds its own
+        del log_probs, loss
     if not np.isfinite(total_loss):
         raise NumericsError(
             f"non-finite training loss {total_loss!r} "

@@ -17,6 +17,17 @@ def random_rotation(seed):
     return q
 
 
+def fibonacci_sphere(n, radius=1.0):
+    """n points spread evenly over a sphere of the given radius."""
+    golden = (1 + 5 ** 0.5) / 2
+    i = np.arange(n)
+    z = 1 - (2 * i + 1) / n
+    r = np.sqrt(1 - z * z)
+    theta = 2 * np.pi * i / golden
+    pts = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
+    return radius * pts
+
+
 def make_coil_protein(n_res, seed, name=None, plddt=None):
     rng = np.random.default_rng(seed)
     coords = random_coil(n_res, rng)

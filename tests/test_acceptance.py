@@ -18,7 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_coil_protein, random_rotation
+from conftest import fibonacci_sphere, make_coil_protein, random_rotation
+from oracle import (naive_auc, naive_mcc, naive_ndcg, naive_spearman,
+                    read_report_csv)
 from protfit import autodiff as ad
 from protfit.autodiff import Tensor
 from protfit.corpus import make_motif_corpus, make_synthetic_variants
@@ -30,8 +32,8 @@ from protfit.gvp import (Corruption, FitnessModel, GvpState, ModelConfig,
                          run_message_passing)
 from protfit.io import (AssayVariant, ResidueEmbeddings, load_assay,
                         load_structure, mask_context_tag)
-from protfit.metrics import (auc, bootstrap_diff_stderr, mcc, ndcg,
-                             read_report_csv, spearman, top_fraction_recall)
+from protfit.metrics import (auc, bootstrap_diff_stderr, mcc, ndcg, spearman,
+                             top_fraction_recall)
 from protfit.scoring import (DEFAULT_EXCISE_M, ensemble_zscores, score_assay,
                              score_variant)
 from protfit.surface import (SurfaceConfig, SurfacePointCloud,
@@ -39,7 +41,6 @@ from protfit.surface import (SurfaceConfig, SurfacePointCloud,
                              generate_surface, read_cloud_tsv,
                              surface_features)
 from protfit.training import MaskingPolicy, apply_mask, load_corpus
-from test_surface import fibonacci_sphere
 
 pytestmark = pytest.mark.acceptance
 
@@ -301,7 +302,6 @@ def test_criterion_3_oracles():
             failures.append(("fusion", trial))
             break
 
-    from test_metrics import naive_auc, naive_mcc, naive_ndcg, naive_spearman
     for trial in range(1000):
         n = int(rng.integers(3, 20))
         scores = rng.integers(0, 7, n).astype(float)

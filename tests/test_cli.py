@@ -17,13 +17,14 @@ import pytest
 import scipy.sparse.linalg
 
 from conftest import overwrite_checkpoint_value
+from oracle import read_report_csv
 from protfit import cli, io, metrics, surface
 from protfit.corpus import make_motif_corpus, make_synthetic_variants
 from protfit.errors import NumericsError
 from protfit.gvp import (FitnessModel, ModelConfig, load_checkpoint,
                          save_checkpoint)
 from protfit.io import load_structure
-from protfit.metrics import bootstrap_diff_stderr, read_report_csv, spearman
+from protfit.metrics import bootstrap_diff_stderr, spearman
 from protfit.scoring import read_scores_csv
 from protfit.surface import (SurfaceConfig, _field, generate_surface,
                              read_cloud_tsv, write_cloud_tsv)
@@ -532,6 +533,25 @@ def test_score_non_finite_checkpoint_exits_2(workspace, trained, tmp_path):
                    root / "assay.csv", "--out", tmp_path / "s.csv", *SURFACE_FLAGS)
     assert proc.returncode == 2, proc.stderr
     assert "non-finite values in tensor 'head.w'" in proc.stderr
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_score_two_chain_pdb_exits_2(workspace, trained, tmp_path):
+    """The motif protein written as a PDB file whose second half is chain
+    B, numbered on from chain A, is a data error naming both chains."""
+    root, proteins, _ = workspace
+    protein = proteins[0]
+    three = {one: three for three, one in io.THREE_TO_ONE.items()}
+    half = protein.n_residues // 2
+    pdb = tmp_path / "two_chains.pdb"
+    pdb.write_text("".join(
+        f"ATOM  {i + 1:5d}  CA  {three[io.RESIDUE_TYPES[t]]} {'A' if i < half else 'B'}"
+        f"{i + 1:4d}    {x:8.3f}{y:8.3f}{z:8.3f}  1.00 90.00           C\n"
+        for i, (t, (x, y, z)) in enumerate(zip(protein.sequence, protein.ca_coords))))
+    proc = run_cli("score", trained, pdb, root / "assay.csv",
+                   "--out", tmp_path / "s.csv", *SURFACE_FLAGS)
+    assert proc.returncode == 2, proc.stderr
+    assert "CA atom of chain 'B' after chain 'A'" in proc.stderr
     assert not (tmp_path / "s.csv").exists()
 
 

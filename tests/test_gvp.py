@@ -8,10 +8,12 @@ import pytest
 
 from conftest import (make_coil_protein, overwrite_checkpoint_value,
                       random_rotation)
+from oracle import (channel_mix, check, full_forward, full_message_passing,
+                    gvp_apply, layer_norm_scalar, rescale_vector)
 from protfit import autodiff as ad
 from protfit.autodiff import Parameter, Tensor
 from protfit.errors import DataError
-from protfit import gvp
+from protfit import geometry, gvp
 from protfit.geometry import (RbfConfig, _finalize_graph, build_knn_graph,
                               build_radius_graph, cross_knn, rbf_expand)
 from protfit.gvp import (Corruption, FitnessModel, GvpBlock, GvpParams, GvpState,
@@ -21,7 +23,6 @@ from protfit.gvp import (Corruption, FitnessModel, GvpBlock, GvpParams, GvpState
 from protfit.io import ResidueEmbeddings, mask_context_tag
 from protfit.surface import (SurfaceConfig, SurfacePointCloud, excise_near_residue,
                              generate_surface, surface_features)
-from test_autodiff import check
 
 SMALL_MODEL = dict(scalar_dim=10, vector_dim=3, structure_layers=2,
                    surface_layers=2, init_hidden=8, embed_dim=12)
@@ -53,52 +54,11 @@ def make_cloud(protein, seed=0, n_max=96):
 # tape-built GVP: the oracle of the block step
 # ---------------------------------------------------------------------------
 
-def _channel_mix(w, vectors: list) -> Tensor:
-    """(o, c) weights applied to the channels of (n, 3, c) vector parts,
-    taken as one channel-axis concat. x, y and z rows all go through the
-    same map, which keeps it rotation-equivariant."""
-    rows = [ad.reshape(v, (3 * v.shape[0], v.shape[2])) for v in vectors]
-    out = ad.linear_split(rows, ad.transpose(w))
-    return ad.reshape(out, (out.shape[0] // 3, 3, out.shape[1]))
-
-
-def gvp_apply(p: GvpParams, scalar, vector):
-    """One geometric vector perceptron on a batch of (scalar, vector) rows,
-    built op by op on the tape.
-
-    Scalar and vector inputs may each be a list of tensors, treated as a
-    feature-axis concatenation (node state plus edge features, say).
-    """
-    scalars = scalar if isinstance(scalar, list) else [scalar]
-    vectors = vector if isinstance(vector, list) else [vector]
-    v_h = _channel_mix(p.w_h, vectors)
-    norms = ad.vec_norm(v_h)
-    lin = ad.linear_split(scalars + [norms], p.w_m, p.b_m)
-    s_out = ad.relu(lin)
-    v_mu = _channel_mix(p.w_mu, [v_h])
-    gate = ad.sigmoid(ad.linear_split([s_out], p.w_g, p.b_g))
-    v_out = v_mu * ad.reshape(gate, (gate.shape[0], 1, gate.shape[1]))
-    return s_out, v_out
-
-
-def _layer_norm_scalar(s: Tensor) -> Tensor:
-    mu = ad.tmean(s, axis=1, keepdims=True)
-    centered = s - mu
-    var = ad.tmean(centered * centered, axis=1, keepdims=True)
-    return centered / ad.sqrt(var + 1e-8)
-
-
-def _rescale_vector(v: Tensor) -> Tensor:
-    n_channels = v.shape[2]
-    fro2 = ad.tsum(v * v, axis=(1, 2), keepdims=True)
-    return v * (np.sqrt(n_channels) / ad.sqrt(fro2 + 1e-8))
-
-
 def test_channel_mix_of_split_parts_matches_einsum_over_concat(rng):
     w = Parameter(rng.standard_normal((4, 5)))
     v1 = Parameter(rng.standard_normal((6, 3, 2)))
     v2 = Parameter(rng.standard_normal((6, 3, 3)))
-    got = _channel_mix(w, [v1, v2])
+    got = channel_mix(w, [v1, v2])
     want = np.einsum("oi,nxi->nxo", w.data,
                      np.concatenate([v1.data, v2.data], axis=2))
     assert got.shape == (6, 3, 4)
@@ -106,7 +66,7 @@ def test_channel_mix_of_split_parts_matches_einsum_over_concat(rng):
     weights = Tensor(rng.standard_normal((6, 3, 4)))
 
     def fn():
-        out = _channel_mix(w, [v1, v2])
+        out = channel_mix(w, [v1, v2])
         return ad.tsum(out * out * weights)
 
     check(fn, [w, v1, v2])
@@ -352,7 +312,7 @@ def _tape_block(block, scalar, vector, graph, args, normalize):
     ff_s, ff_v = gvp_apply(block.feedforward, s, v)
     s, v = s + ff_s, v + ff_v
     if normalize:
-        s, v = _layer_norm_scalar(s), _rescale_vector(v)
+        s, v = layer_norm_scalar(s), rescale_vector(v)
     return s, v
 
 
@@ -806,60 +766,6 @@ def test_backward_loss_examples(rng):
 # receptive-field passes
 # ---------------------------------------------------------------------------
 
-def _full_message_passing(blocks, graph, state, normalize):
-    """Whole-graph message passing as it ran before receptive sets: every
-    block on every node and every edge."""
-    scalar, vector = state.scalar, state.vector
-    n = graph.n_nodes
-    if graph.n_edges:
-        edge_s = Tensor(graph.edge_scalar)
-        edge_v = Tensor(graph.edge_vec[:, :, None])
-        inv_deg = 1.0 / np.maximum(np.bincount(graph.dst, minlength=n), 1)
-    for block in blocks:
-        if graph.n_edges:
-            msg_s, msg_v = gvp_apply(block.message,
-                                     [ad.gather(scalar, graph.src), edge_s],
-                                     [ad.gather(vector, graph.src), edge_v])
-            scalar = scalar + ad.segment_sum(msg_s, graph.dst, n) * inv_deg[:, None]
-            vector = vector + ad.segment_sum(msg_v, graph.dst, n) * inv_deg[:, None, None]
-        ff_s, ff_v = gvp_apply(block.feedforward, scalar, vector)
-        scalar = scalar + ff_s
-        vector = vector + ff_v
-        if normalize:
-            scalar = _layer_norm_scalar(scalar)
-            vector = _rescale_vector(vector)
-    return GvpState(scalar=scalar, vector=vector)
-
-
-def _full_forward(model, protein, masked, mode, cloud):
-    """Whole-graph forward as it ran before receptive sets: both stacks on
-    every residue and every surface point, masked rows taken at the end."""
-    cfg = model.config
-    masked = np.asarray(sorted(set(masked)), dtype=np.int64)
-    h0 = model.embed(protein, masked)
-    state0 = GvpState(scalar=h0, vector=Tensor(
-        np.zeros((protein.n_residues, 3, cfg.vector_dim))))
-    h_res = state0
-    if mode in ("s2f", "s3f"):
-        graph = build_radius_graph(protein.ca_coords, cfg.radius_cutoff, rbf=cfg.rbf)
-        h_res = _full_message_passing(model.structure_blocks, graph, state0,
-                                      cfg.normalize)
-    if mode in ("s3f", "surf_only"):
-        nn_idx, nn_dist = cross_knn(cloud.points, protein.ca_coords,
-                                    cfg.init_neighbors)
-        h_surf0 = surface_init(model.params, h0, cloud.features, nn_idx, nn_dist,
-                               cfg.vector_dim)
-        sgraph = build_knn_graph(cloud.points, cfg.surface_knn, rbf=cfg.rbf)
-        h_surf = _full_message_passing(model.surface_blocks, sgraph, h_surf0,
-                                       cfg.normalize)
-        fuse_idx, _ = cross_knn(protein.ca_coords, cloud.points,
-                                min(cfg.fuse_neighbors, cloud.n_points))
-        h_res = fuse_residue_surface(h_res, h_surf, fuse_idx)
-    rows = ad.gather(h_res.scalar, masked)
-    return ad.log_softmax(ad.linear_split([rows], model.params["head.w"],
-                                          model.params["head.b"]))
-
-
 def _bfs_sets(n_nodes, src, dst, out_nodes, n_layers):
     """Receptive sets by a plain walk over the edge list."""
     sets = [sorted(set(int(v) for v in out_nodes))]
@@ -909,7 +815,7 @@ def test_message_passing_on_node_sets_matches_full_rows(rng, normalize):
     isolated = np.flatnonzero(np.bincount(graph.dst, minlength=graph.n_nodes) == 0)
     model = small_model()
     state = _random_state(rng, graph.n_nodes, 10, 3)
-    full = _full_message_passing(model.structure_blocks, graph, state, normalize)
+    full = full_message_passing(model.structure_blocks, graph, state, normalize)
     # the oracle gathers node states before projecting them, which BLAS
     # need not round bit for bit like the projection-first pass
     whole = run_message_passing(model.structure_blocks, graph, state, normalize)
@@ -989,7 +895,7 @@ def test_forward_and_gradients_match_full_graph_oracle(rf_setup, mode, masked):
     model.params["head.w"].data *= 1e3   # a unit-scale head
     weights = np.random.default_rng(len(masked)).standard_normal((len(masked), 20))
     got = model.forward_logits(protein, masked, mode=mode, cloud=cloud)
-    want = _full_forward(model, protein, masked, mode, cloud)
+    want = full_forward(model, protein, masked, mode, cloud)
     assert got.shape == (len(masked), 20)
     assert np.abs(got.data - want.data).max() < 1e-13
     got_grads = _grads(model, got, weights)
@@ -1036,7 +942,7 @@ def test_empty_masked_set_gives_no_rows(rf_setup, mode):
     model = small_model(mode="s3f", seed=22)
     rows = model.forward_logits(protein, [], mode=mode, cloud=cloud)
     assert rows.shape == (0, 20)
-    assert _full_forward(model, protein, [], mode, cloud).shape == (0, 20)
+    assert full_forward(model, protein, [], mode, cloud).shape == (0, 20)
 
 
 def test_masked_pass_runs_on_receptive_field_only(monkeypatch):
@@ -1074,6 +980,33 @@ def test_masked_pass_runs_on_receptive_field_only(monkeypatch):
     assert f_out.scalar.shape[0] == len(fuse_points)
     assert f_graph.n_nodes == cloud.n_points
     assert len(f_sets[0]) < cloud.n_points
+
+
+def test_three_site_pass_work_counts(rf_setup, monkeypatch):
+    """Exact work of one 3-site s3f pass on the 40-residue coil and its
+    300-point cloud: (output rows, edges) of each block, two structure
+    blocks then two surface blocks, and the rows each step of the surface
+    walk queries. Host speed cannot move these counts; a change that does
+    more or less work changes them."""
+    protein, cloud = rf_setup
+    model = small_model(mode="s3f", seed=22)
+    blocks, queried = [], []
+    real_step, real_rows = gvp._block_step, geometry._knn_rows
+
+    def step(block, scalar, vector, graph, edges, src, dst, keep, normalize):
+        blocks.append((len(keep), len(edges)))
+        return real_step(block, scalar, vector, graph, edges, src, dst, keep, normalize)
+
+    def knn_rows(tree, ids, k):
+        queried.append(len(ids))
+        return real_rows(tree, ids, k)
+
+    monkeypatch.setattr(gvp, "_block_step", step)
+    monkeypatch.setattr(geometry, "_knn_rows", knn_rows)
+    model.forward_logits(protein, [3, 20, 36], cloud=cloud)
+    assert cloud.n_points == 300
+    assert blocks == [(27, 250), (3, 25), (147, 2352), (60, 960)]
+    assert queried == [60, 87]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from protfit import gvp, metrics, scoring, surface, training
 from protfit.errors import DataError
 from protfit.io import (AssayVariant, MutationSet, Protein, ResidueEmbeddings,
@@ -52,6 +53,35 @@ def test_pdb_min_duplicate_residue_index():
 def test_pdb_min_clamps_experimental_bfactors():
     line = PDB_CA_LINE.replace(" 95.00", "120.00")
     assert parse_structure(line + "\n", "pdb-min").plddt[0] == 100.0
+
+
+def _pdb_ca(record, res3, chain, resnum, x):
+    """A CA line of the given record type, residue, chain and number."""
+    return (f"{record:<6}{resnum + 1:5d}  CA  {res3:>3} {chain}{resnum:4d}    "
+            f"{x:8.3f}{0.0:8.3f}{0.0:8.3f}  1.00 90.00           C\n")
+
+
+@pytest.mark.parametrize("second", ["B", " "], ids=["B", "blank"])
+def test_pdb_min_second_chain_is_data_error(second):
+    """A second chain is not joined onto the first, also when its residue
+    numbers continue the first chain's; the error names both chains."""
+    text = (_pdb_ca("ATOM", "ALA", "A", 1, 0.0) + _pdb_ca("ATOM", "GLY", "A", 2, 3.8)
+            + "TER\n" + _pdb_ca("ATOM", "SER", second, 3, 7.6))
+    with pytest.raises(DataError,
+                       match=f"line 4: CA atom of chain '{second}' after chain 'A'"):
+        parse_structure(text, "pdb-min")
+
+
+def test_pdb_min_reads_selenomethionine_as_methionine():
+    """HETATM MSE keeps its place in the chain as M; other HETATM records,
+    such as a calcium ion (atom name CA), a ligand and water, stay skipped."""
+    text = (_pdb_ca("ATOM", "ALA", "A", 1, 0.0) + _pdb_ca("HETATM", "MSE", "A", 2, 3.8)
+            + _pdb_ca("ATOM", "GLY", "A", 3, 7.6) + _pdb_ca("HETATM", "CA", "A", 101, 20.0)
+            + _pdb_ca("HETATM", "HEM", "B", 201, 30.0)
+            + _pdb_ca("HETATM", "HOH", "W", 301, 40.0))
+    protein = parse_structure(text, "pdb-min")
+    assert "".join(RESIDUE_TYPES[t] for t in protein.sequence) == "AMG"
+    assert protein.ca_coords[:, 0].tolist() == [0.0, 3.8, 7.6]
 
 
 def test_tsv_three_rows_bit_exact():
@@ -382,7 +412,7 @@ def test_write_csv_layout(tmp_path):
 
 READERS = {"s.tsv": load_structure, "s.pdb": load_structure,
            "a.csv": load_assay, "sc.csv": load_external_scores,
-           "c.tsv": surface.read_cloud_tsv, "r.csv": metrics.read_report_csv,
+           "c.tsv": surface.read_cloud_tsv, "r.csv": oracle.read_report_csv,
            "e.s3fe": load_embeddings, "m.s3fc": gvp.load_checkpoint,
            "m.state.npz": training.load_train_state}
 

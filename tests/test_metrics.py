@@ -4,30 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from oracle import (naive_auc, naive_mcc, naive_ndcg, naive_spearman,
+                    read_report_csv)
 from protfit.errors import DataError
 from protfit.io import AssayTable, AssayVariant
 from protfit.metrics import (AssayResult, aggregate_results, auc,
                              binarize_assay, bootstrap_diff_stderr,
                              emit_report, evaluate_assay, mcc, midranks, ndcg,
-                             read_report_csv, spearman, top_fraction_recall)
-
-
-def naive_midranks(x):
-    n = len(x)
-    ranks = []
-    for v in x:
-        less = sum(1 for u in x if u < v)
-        equal = sum(1 for u in x if u == v)
-        ranks.append(less + (equal + 1) / 2.0)
-    return np.array(ranks)
-
-
-def naive_spearman(x, y):
-    rx, ry = naive_midranks(x), naive_midranks(y)
-    mx, my = rx.mean(), ry.mean()
-    num = ((rx - mx) * (ry - my)).sum()
-    den = math.sqrt(((rx - mx) ** 2).sum() * ((ry - my) ** 2).sum())
-    return num / den
+                             spearman, top_fraction_recall)
 
 
 # ---------------------------------------------------------------------------
@@ -71,14 +55,6 @@ def test_midranks_average_ties():
 # auc
 # ---------------------------------------------------------------------------
 
-def naive_auc(scores, labels):
-    pos = [s for s, l in zip(scores, labels) if l == 1]
-    neg = [s for s, l in zip(scores, labels) if l == 0]
-    wins = sum(1.0 if p > n else (0.5 if p == n else 0.0)
-               for p in pos for n in neg)
-    return wins / (len(pos) * len(neg))
-
-
 def test_auc_separated_and_ties():
     assert auc([1, 2, 3, 10, 11], [0, 0, 0, 1, 1]) == 1.0
     assert auc([5, 5, 5, 5], [0, 1, 0, 1]) == 0.5
@@ -112,22 +88,6 @@ def test_auc_single_class_rejected():
 # mcc
 # ---------------------------------------------------------------------------
 
-def naive_mcc(scores, labels, cut):
-    tp = fp = tn = fn = 0
-    for s, l in zip(scores, labels):
-        p = s > cut
-        if p and l:
-            tp += 1
-        elif p and not l:
-            fp += 1
-        elif not p and l:
-            fn += 1
-        else:
-            tn += 1
-    den = math.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
-    return 0.0 if den == 0 else (tp * tn - fp * fn) / den
-
-
 def test_mcc_perfect_and_complement():
     scores = np.array([0.1, 0.2, 0.8, 0.9])
     labels = np.array([0, 0, 1, 1])
@@ -153,19 +113,6 @@ def test_mcc_zero_marginal_sentinel():
 # ---------------------------------------------------------------------------
 # ndcg
 # ---------------------------------------------------------------------------
-
-def naive_ndcg(scores, gains):
-    g = np.asarray(gains, dtype=float)
-    lo, hi = g.min(), g.max()
-    if hi == lo:
-        return 1.0
-    g = (g - lo) / (hi - lo)
-    order = sorted(range(len(g)), key=lambda i: (-scores[i], i))
-    ideal = sorted(range(len(g)), key=lambda i: (-g[i], i))
-    dcg = sum(g[i] / math.log2(r + 2) for r, i in enumerate(order))
-    idcg = sum(g[i] / math.log2(r + 2) for r, i in enumerate(ideal))
-    return dcg / idcg
-
 
 def test_ndcg_single_and_aligned():
     assert ndcg([5.0], [2.0]) == 1.0

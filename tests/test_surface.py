@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import protfit.surface
-from conftest import make_coil_protein, random_rotation
+from conftest import fibonacci_sphere, make_coil_protein, random_rotation
 from protfit.corpus import make_motif_protein
 from protfit.errors import DataError
 from protfit.geometry import cross_knn, nearest_others
@@ -20,16 +20,6 @@ from protfit.surface import (HKS_TIMES, N_FEATURES, SurfaceConfig,
                              surface_features, write_cloud_tsv)
 
 SMALL = SurfaceConfig(min_points=64, max_points=384, seeds_per_atom=20)
-
-
-def fibonacci_sphere(n, radius=1.0):
-    golden = (1 + 5 ** 0.5) / 2
-    i = np.arange(n)
-    z = 1 - (2 * i + 1) / n
-    r = np.sqrt(1 - z * z)
-    theta = 2 * np.pi * i / golden
-    pts = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
-    return radius * pts
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -153,6 +154,28 @@ def test_pretrain_step_deterministic():
         states.append({k: p.data.copy() for k, p in model.params.items()})
     for k in states[0]:
         assert np.array_equal(states[0][k], states[1][k])
+
+
+def test_pretrain_step_frees_each_item_tape_before_the_next_forward(monkeypatch):
+    """Item b's log-probs, and the tape they hold, are gone when item
+    b + 1's forward starts, so a step holds one item's tape at a time."""
+    protein = make_motif_protein("p", 18, np.random.default_rng(2))
+    model = FitnessModel(ModelConfig(mode="s3f", seed=3, **MODEL_KW))
+    opt = make_optimizer(model, TrainConfig(learning_rate=1e-3))
+    item = _items_for(protein, "s3f")
+    outputs, alive = [], []
+    real = model.forward_logits
+
+    def recording(*args, **kwargs):
+        alive.append([ref() is not None for ref in outputs])
+        log_probs = real(*args, **kwargs)
+        outputs.append(weakref.ref(log_probs.data))
+        return log_probs
+
+    monkeypatch.setattr(model, "forward_logits", recording)
+    pretrain_step(model, [item, item, item], opt, MaskingPolicy(),
+                  np.random.default_rng(9), "s3f")
+    assert alive == [[], [False], [False, False]]
 
 
 def test_initial_loss_near_uniform_entropy():
